@@ -54,6 +54,7 @@ from biphoton.statevec import (
     ValidationError,
     apply_one_photon,
     basis_ket,
+    from_array,
     inner,
     norm,
     normalize,
@@ -61,7 +62,7 @@ from biphoton.statevec import (
     phase_equal,
     superpose,
     tensor,
-    with_register,
+    to_array,
 )
 
 __all__ = [
@@ -96,6 +97,7 @@ __all__ = [
     "encode_j_two_photon",
     "expectation",
     "family_from_assignment",
+    "from_array",
     "inner",
     "ket_from_vector",
     "norm",
@@ -107,9 +109,9 @@ __all__ = [
     "run_protocol",
     "superpose",
     "tensor",
+    "to_array",
     "two_photon_vector",
     "validate_basis",
-    "with_register",
     "__version__",
 ]
 

@@ -22,7 +22,9 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     Ket,
     ValidationError,
+    from_array,
     norm,
+    to_array,
 )
 
 __all__ = [
@@ -163,7 +165,7 @@ def two_photon_vector(state: Ket) -> np.ndarray:
         raise ValidationError(
             f"expected a two-photon state, register is {state.register}"
         )
-    return np.array([state.amplitude(lab) for lab in BASIS_LABELS], dtype=complex)
+    return to_array(state)
 
 
 def ket_from_vector(register, vec) -> Ket:
@@ -171,12 +173,10 @@ def ket_from_vector(register, vec) -> Ket:
     arr = np.asarray(vec, dtype=complex)
     if arr.shape != (4,):
         raise ValidationError(f"expected 4 components, got shape {arr.shape}")
-    from biphoton.statevec import _check_register, _pruned
-
-    reg = _check_register(register)
+    reg = tuple(register)
     if len(reg) != 2:
         raise ValidationError(f"register must name two photons, got {reg}")
-    return _pruned(reg, dict(zip(BASIS_LABELS, (complex(c) for c in arr))))
+    return from_array(reg, arr)
 
 
 def apply_projector(family: ProjectorFamily, j: int, state: Ket) -> Ket:

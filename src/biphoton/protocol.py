@@ -15,41 +15,38 @@ the kept photons:
 
 PhiPlus/PhiMinus outcomes would need polarization flips, which neither
 the linear-optics analyzer can distinguish nor a phase correction can
-undo, so they are reported as inconclusive.  ``run_protocol`` enumerates
-every Bell outcome combination (and register reading), so the reported
-probabilities are exhaustive and must sum to one; ``oracle_report``
-computes the target measurement statistics directly from the projectors
-and ``compare_reports`` checks the two against each other.
+undo, so they are reported as inconclusive.  ``run_protocol`` reads every
+branch residual off one transfer tensor as ``T[b15, b26, r] @ beta``, so
+the reported probabilities are exhaustive and must sum to one;
+``oracle_report`` computes the target measurement statistics directly
+from the projectors and ``compare_reports`` checks the two against each
+other.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from biphoton import auxprep
 from biphoton.auxprep import KEPT_PAIR
-from biphoton.measurement import (
-    BASIS_LABELS,
-    ProjectorFamily,
-    ket_from_vector,
-    parity_family,
-    two_photon_vector,
-)
+from biphoton.measurement import ProjectorFamily, ket_from_vector, two_photon_vector
 from biphoton.statevec import (
     DEFAULT_TOL,
+    POLARIZATIONS,
     Ket,
     ValidationError,
     apply_one_photon,
     basis_ket,
+    from_array,
     norm,
     normalize,
-    partial_bra,
     phase_equal,
     superpose,
-    tensor,
+    to_array,
 )
 
 __all__ = [
@@ -75,7 +72,6 @@ __all__ = [
 ]
 
 INPUT_PAIR = (1, 2)
-ANALYZED_PAIRS = ((1, 5), (2, 6))
 
 #: Branches below this probability are reported but carry no state.
 ZERO_PROBABILITY = 1e-12
@@ -116,6 +112,10 @@ def bell_ket(kind: BellOutcome, pair) -> Ket:
             for labels, sign in _BELL_COMPONENTS[kind]
         ]
     )
+
+
+#: Bell kets as rows over (HH, HV, VH, VV), in BELL_ORDER.
+_BELL_KETS = np.array([to_array(bell_ket(kind, (1, 5))) for kind in BELL_ORDER])
 
 
 @dataclass(frozen=True)
@@ -254,18 +254,16 @@ def _validate_input(input_state: Ket, tol: float) -> None:
         )
 
 
-def _register_outcomes(mode: str):
-    if mode == "general":
-        return [
-            (j, auxprep.encode_j_two_photon(j), BASIS_LABELS[j])
-            for j in range(4)
-        ]
-    if mode == "parity5":
-        return [
-            (0, auxprep.encode_j_one_photon(0), "H"),
-            (1, auxprep.encode_j_one_photon(1), "V"),
-        ]
-    return None  # parity4: no outcome register, implicitly j = 0
+def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
+    """``T[b15, b26, r] @ beta`` is the unnormalized kept-pair residual of
+    Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6) (BELL_ORDER indices)
+    and register reading ``r``; shape (4, 4, R, 4, 4).
+    """
+    n_readings = 2 ** len(aux.j_register)
+    resource = to_array(aux.ket).reshape(2, 2, 2, 2, n_readings)
+    bra = _BELL_KETS.conj().reshape(4, 2, 2)
+    t = np.einsum("aip,bjq,klpqr->abrklij", bra, bra, resource)
+    return t.reshape(4, 4, n_readings, 4, 4)
 
 
 def run_protocol(
@@ -302,36 +300,27 @@ def run_protocol(
             else auxprep.build_parity_aux4()
         )
 
-    outcomes = _register_outcomes(mode)
-    total = tensor(input_state, aux.ket)
+    residuals = _transfer_tensor(aux) @ two_photon_vector(input_state)
+    readings = itertools.product(POLARIZATIONS, repeat=len(aux.j_register))
+    readings = ["".join(labels) or None for labels in readings]
     branches = []
-    for b15 in BELL_ORDER:
-        after15 = partial_bra(bell_ket(b15, ANALYZED_PAIRS[0]), total)
-        for b26 in BELL_ORDER:
-            residual = partial_bra(bell_ket(b26, ANALYZED_PAIRS[1]), after15)
+    for a, b15 in enumerate(BELL_ORDER):
+        for b, b26 in enumerate(BELL_ORDER):
+            pair = (b15, b26)
             accepted = (
-                (b15, b26) in accepted_pairs
+                pair in accepted_pairs
                 and b15 in analyzer.distinguishable
                 and b26 in analyzer.distinguishable
             )
             if not accepted:
-                branches.append(_unaccepted_branch(b15, b26, residual))
+                residual = from_array(aux.kept + aux.j_register, residuals[a, b].T)
+                branches.append(_branch(b15, b26, None, residual))
                 continue
-            corrections = corrections_for((b15, b26))
-            corrected = apply_corrections((b15, b26), residual)
-            kind = "success" if not corrections else "correctable"
-            if outcomes is None:
-                branches.append(
-                    _accepted_branch(b15, b26, None, corrected, corrections, kind, 0)
-                )
-            else:
-                for j, j_ket, labels in outcomes:
-                    sub = partial_bra(j_ket, corrected)
-                    branches.append(
-                        _accepted_branch(
-                            b15, b26, labels, sub, corrections, kind, j
-                        )
-                    )
+            corrections = corrections_for(pair)
+            kind = "correctable" if corrections else "success"
+            for j, reading in enumerate(readings):
+                sub = apply_corrections(pair, from_array(aux.kept, residuals[a, b, j]))
+                branches.append(_branch(b15, b26, reading, sub, corrections, kind, j))
 
     success_probability = sum(b.probability for b in branches if b.is_success)
     inconclusive_probability = sum(
@@ -355,22 +344,14 @@ def run_protocol(
     )
 
 
-def _unaccepted_branch(b15, b26, residual: Ket) -> Branch:
+def _branch(
+    b15, b26, reading, residual, corrections=(), kind="inconclusive", j=None
+) -> Branch:
     probability = norm(residual) ** 2
     if probability < ZERO_PROBABILITY:
-        return Branch(b15, b26, None, probability, (), "zero")
+        return Branch(b15, b26, reading, probability, corrections, "zero")
     return Branch(
-        b15, b26, None, probability, (), "inconclusive",
-        residual=normalize(residual),
-    )
-
-
-def _accepted_branch(b15, b26, labels, residual, corrections, kind, j) -> Branch:
-    probability = norm(residual) ** 2
-    if probability < ZERO_PROBABILITY:
-        return Branch(b15, b26, labels, probability, corrections, "zero")
-    return Branch(
-        b15, b26, labels, probability, corrections, kind,
+        b15, b26, reading, probability, corrections, kind,
         j=j, residual=normalize(residual),
     )
 

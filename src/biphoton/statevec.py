@@ -13,6 +13,7 @@ lexicographic order H < V (two photons: HH, HV, VH, VV).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -38,7 +39,8 @@ __all__ = [
     "norm",
     "normalize",
     "phase_equal",
-    "with_register",
+    "to_array",
+    "from_array",
 ]
 
 H = "H"
@@ -270,11 +272,22 @@ def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     return abs(inner(an, bn)) >= 1.0 - tol
 
 
-def with_register(state: Ket, register: Sequence[int]) -> Ket:
-    """Same amplitudes on a new register of equal length (relabeling)."""
+_BITS = str.maketrans("HV", "01")
+
+
+def to_array(state: Ket) -> np.ndarray:
+    """Flat dense amplitudes over the register's lexicographic basis."""
+    out = np.zeros(2 ** len(state.register), dtype=complex)
+    for labels, amp in state.components.items():
+        out[int("0" + labels.translate(_BITS), 2)] = amp
+    return out
+
+
+def from_array(register: Sequence[int], amplitudes) -> Ket:
+    """Pruned ket from ``2**n`` amplitudes in row-major lexicographic order."""
     reg = _check_register(register)
-    if len(reg) != len(state.register):
-        raise ValidationError(
-            f"cannot relabel {len(state.register)} photons to {len(reg)} ids"
-        )
-    return Ket(reg, dict(state.components))
+    arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if arr.size != 2 ** len(reg):
+        raise ValidationError(f"{arr.size} amplitudes for {len(reg)} photons")
+    labels = itertools.product(POLARIZATIONS, repeat=len(reg))
+    return _pruned(reg, {"".join(k): a for k, a in zip(labels, arr.tolist())})

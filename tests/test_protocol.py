@@ -395,6 +395,27 @@ def test_branch_probabilities_sum_to_one(mode, seed):
     )
 
 
+def _resources():
+    yield auxprep.build_parity_aux5()
+    yield auxprep.build_parity_aux4()
+    rng = np.random.default_rng(900)
+    for n_outcomes in (1, 2, 3, 4):
+        for _ in range(5):
+            family = family_from_assignment(
+                random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+            )
+            yield auxprep.build_general_aux(family)
+
+
+def test_transfer_tensor_conserves_probability_for_every_input():
+    # sum over all branches of T^dagger T = I: the branch probabilities
+    # sum to |beta|^2 for every input, not only for sampled ones.
+    for aux in _resources():
+        t = protocol._transfer_tensor(aux).reshape(-1, 4, 4)
+        gram = np.einsum("nki,nkj->ij", t.conj(), t)
+        np.testing.assert_allclose(gram, np.eye(4), rtol=0, atol=1e-12)
+
+
 def test_residual_present_exactly_when_weight_is():
     rng = np.random.default_rng(42)
     beta = input_ket(random_unit_vector(rng))

@@ -20,7 +20,6 @@ from biphoton.statevec import (
     phase_equal,
     superpose,
     tensor,
-    with_register,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -226,14 +225,6 @@ def test_pruning_threshold_behaviour():
         ]
     )
     assert "V" in kept.components
-
-
-def test_with_register_relabels():
-    moved = with_register(basis_ket((1, 2), "HV"), (3, 4))
-    assert moved.register == (3, 4)
-    assert moved.amplitude("HV") == 1
-    with pytest.raises(ValidationError):
-        with_register(basis_ket((1, 2), "HV"), (3,))
 
 
 # ---------------------------------------------------------------------------
