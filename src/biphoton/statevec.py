@@ -263,13 +263,19 @@ def normalize(state: Ket) -> Ket:
 def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True when ``a`` and ``b`` agree up to a global phase.
 
-    Both states are normalized first, then compared through the overlap
-    criterion ``|<a|b>| >= 1 - tol``.  Degenerate (near-zero) inputs
-    raise rather than compare equal.
+    Both states are normalized and ``a`` is rotated onto ``b``'s phase
+    through their overlap; every component must then agree within
+    ``tol``.  Degenerate (near-zero) inputs raise rather than compare
+    equal.
     """
     an = normalize(a)
     bn = normalize(b)
-    return abs(inner(an, bn)) >= 1.0 - tol
+    overlap = inner(an, bn)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return all(
+        abs(an.amplitude(labels) * phase - bn.amplitude(labels)) <= tol
+        for labels in an.components.keys() | bn.components.keys()
+    )
 
 
 _BITS = str.maketrans("HV", "01")

@@ -208,6 +208,16 @@ def test_phase_equal_ignores_global_phase():
     assert phase_equal(a, b)
     assert phase_equal(a, c)
     assert not phase_equal(a, basis_ket((1, 2), "HV"))
+    # The tolerance bounds each phase-aligned component, not 1 - |<a|b>|.
+    even = superpose([(1 / SQRT2, a), (1 / SQRT2, basis_ket((1, 2), "VV"))])
+    theta = math.pi / 4 + 1e-5
+    rotated = superpose(
+        [(math.cos(theta), a), (math.sin(theta), basis_ket((1, 2), "VV"))]
+    )
+    assert not phase_equal(even, rotated, tol=1e-10)
+    perturbed = superpose([(1.0, even), (1e-7, basis_ket((1, 2), "HV"))])
+    assert not phase_equal(even, perturbed, tol=1e-10)
+    assert phase_equal(even, superpose([(1j, even)]), tol=1e-10)
 
 
 def test_pruning_threshold_behaviour():
