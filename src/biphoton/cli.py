@@ -46,6 +46,7 @@ from biphoton.protocol import (
     MODES,
     AnalyzerModel,
     ProtocolReport,
+    _check_tol,
     compare_reports,
     oracle_report,
     run_protocol,
@@ -317,12 +318,7 @@ def load_config(data) -> RunConfig:
     if missing:
         raise ValidationError(f"missing config keys: {', '.join(sorted(missing))}")
 
-    tol = data.get("tol", DEFAULT_TOL)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValidationError("tol must be a number")
-    tol = float(tol)
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol:g}")
+    tol = _check_tol(data.get("tol", DEFAULT_TOL))
 
     mode = data["mode"]
     if mode not in MODES:
@@ -336,6 +332,8 @@ def load_config(data) -> RunConfig:
 
     family = _family_from_value(data["family"])
     vec = _input_components(data["input_state"])
+    if not np.isfinite(vec).all():
+        raise ValidationError("input_state has non-finite components")
     norm = float(np.linalg.norm(vec))
     if norm < 1e-6:
         raise ValidationError("input_state has (near-)zero norm")

@@ -173,6 +173,8 @@ def ket_from_vector(register, vec) -> Ket:
     arr = np.asarray(vec, dtype=complex)
     if arr.shape != (4,):
         raise ValidationError(f"expected 4 components, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("state vector has non-finite components")
     reg = tuple(register)
     if len(reg) != 2:
         raise ValidationError(f"register must name two photons, got {reg}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +243,17 @@ def _is_parity(family: ProjectorFamily) -> bool:
     )
 
 
+def _check_tol(tol) -> float:
+    """A comparison tolerance must be a real number in (0, 1)."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValidationError("tol must be a number")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {float(tol):g}")
+    return float(tol)
+
+
 def _validate_input(input_state: Ket, tol: float) -> None:
+    _check_tol(tol)
     if input_state.register != INPUT_PAIR:
         raise ValidationError(
             f"input must live on photons {INPUT_PAIR}, got {input_state.register}"
@@ -391,6 +402,7 @@ def compare_reports(
     the conditional distribution degenerates and the total success
     probability is pinned to half the oracle's even-parity weight.
     """
+    _check_tol(tol)
     mismatches = []
     if report.mode == "parity4":
         expected_total = 0.5 * oracle.probabilities[0]

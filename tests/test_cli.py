@@ -190,6 +190,9 @@ def test_load_config_normalizes_with_warning():
         {"family": {"basis": [[1, 0, 0, 0]] * 4, "assignment": [[1]] * 4}},
         {"input_state": "0*|HH>"},
         {"input_state": 7},
+        {"input_state": [float("nan"), 1, 0, 0]},
+        {"input_state": [1e999, 1, 0, 0]},
+        {"input_state": "1e999*|HH>"},
         {"unexpected": True},
     ],
 )

@@ -156,6 +156,11 @@ def test_vector_round_trip():
     assert list(BASIS_LABELS) == ["HH", "HV", "VH", "VV"]
 
 
+def test_ket_from_vector_rejects_non_finite_components():
+    with pytest.raises(ValidationError, match="non-finite"):
+        ket_from_vector((1, 2), [float("nan"), 1, 0, 0])
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_family_invariants(seed):
     rng = np.random.default_rng(seed)

@@ -479,6 +479,20 @@ def test_run_protocol_validation_errors():
         run_protocol(hh_input(), first_photon_family, mode="parity5")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, "tight", True])
+def test_library_rejects_bad_tol(tol):
+    fam = parity_family()
+    report = run_protocol(hh_input(), fam, mode="parity5")
+    oracle = oracle_report(hh_input(), fam)
+    for call in (
+        lambda: run_protocol(hh_input(), fam, mode="parity5", tol=tol),
+        lambda: oracle_report(hh_input(), fam, tol=tol),
+        lambda: compare_reports(report, oracle, tol=tol),
+    ):
+        with pytest.raises(ValidationError, match="tol must"):
+            call()
+
+
 def test_parity_modes_accept_any_family_with_parity_projectors():
     # a rotated basis of the even/odd subspaces yields the same projectors
     rot = np.array(
