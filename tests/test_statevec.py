@@ -13,6 +13,7 @@ from biphoton.statevec import (
     ValidationError,
     apply_one_photon,
     basis_ket,
+    from_array,
     inner,
     norm,
     normalize,
@@ -20,6 +21,7 @@ from biphoton.statevec import (
     phase_equal,
     superpose,
     tensor,
+    to_array,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -235,6 +237,21 @@ def test_pruning_threshold_behaviour():
         ]
     )
     assert "V" in kept.components
+
+
+def test_dense_layout_is_lexicographic_and_round_trips():
+    state = superpose(
+        [(0.6, basis_ket((3, 4, 7), "HVV")), (0.8j, basis_ket((3, 4, 7), "VHH"))]
+    )
+    dense = to_array(state)
+    expected = np.zeros(8, dtype=complex)
+    expected[0b011], expected[0b100] = 0.6, 0.8j
+    np.testing.assert_array_equal(dense, expected)
+    back = from_array((3, 4, 7), dense.reshape(2, 2, 2))
+    assert back.register == (3, 4, 7)
+    assert dict(back.components) == dict(state.components)  # zeros pruned
+    with pytest.raises(ValidationError):
+        from_array((3, 4), dense)
 
 
 # ---------------------------------------------------------------------------
