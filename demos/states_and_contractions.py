@@ -1,6 +1,6 @@
 """
-Sparse polarization kets and partial contractions
-=================================================
+Polarization kets and partial contractions
+==========================================
 
 Build small photon-register states, take tensor products, and contract
 photons out with partial inner products.  This is the low-level machinery

@@ -28,6 +28,7 @@ from biphoton.statevec import (
     Ket,
     ValidationError,
     basis_ket,
+    from_array,
     superpose,
     tensor,
 )
@@ -53,7 +54,7 @@ J_REGISTER_ONE = (7,)
 
 #: Component index map of the polarization flip H<->V on both photons:
 #: HH <-> VV and HV <-> VH in the fixed (HH, HV, VH, VV) order.
-_FLIP = (3, 2, 1, 0)
+_FLIP = [3, 2, 1, 0]
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,7 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> K
     """
     if not 0 <= i < 4:
         raise ValidationError(f"basis row index {i} out of range 0..3")
-    row = basis.states[i]
-    terms = []
-    for idx, amp in enumerate(row):
-        if amp == 0:
-            continue
-        flipped = BASIS_LABELS[_FLIP[idx]]
-        terms.append((complex(amp).conjugate(), basis_ket(register, flipped)))
-    return superpose(terms)
+    return from_array(register, basis.states[i].conj()[_FLIP])
 
 
 def encode_j_two_photon(j: int) -> Ket:
@@ -105,18 +99,10 @@ def build_general_aux(family: ProjectorFamily) -> AuxState:
     for j in range(family.n_outcomes):
         j_ket = encode_j_two_photon(j)
         for i in range(4):
-            if not family.assignment[i, j]:
-                continue
-            row = family.basis.states[i]
-            kept = superpose(
-                [
-                    (complex(amp), basis_ket(KEPT_PAIR, BASIS_LABELS[idx]))
-                    for idx, amp in enumerate(row)
-                    if amp != 0
-                ]
-            )
-            partner = conjugate_partner(family.basis, i)
-            terms.append((0.5, tensor(tensor(kept, partner), j_ket)))
+            if family.assignment[i, j]:
+                kept = from_array(KEPT_PAIR, family.basis.states[i])
+                partner = conjugate_partner(family.basis, i)
+                terms.append((0.5, tensor(tensor(kept, partner), j_ket)))
     return AuxState(
         superpose(terms), KEPT_PAIR, PARTNER_PAIR, J_REGISTER_TWO
     )

@@ -55,8 +55,8 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     Ket,
     DegenerateStateError,
-    PRUNE_THRESHOLD,
     ValidationError,
+    from_array,
 )
 
 __all__ = [
@@ -209,12 +209,8 @@ def _fmt(x: float) -> str:
 
 def format_ket(components) -> str:
     """Inverse of :func:`parse_ket` (up to float formatting)."""
-    comps = np.asarray(components, dtype=complex)
     terms = []
-    for idx, amp in enumerate(comps):
-        if (amp.real * amp.real + amp.imag * amp.imag) < PRUNE_THRESHOLD:
-            continue
-        label = BASIS_LABELS[idx]
+    for label, amp in from_array(INPUT_PAIR, components).items():
         if amp.imag == 0.0:
             sign = "-" if amp.real < 0 else "+"
             terms.append((sign, f"{_fmt(abs(amp.real))}*|{label}>"))

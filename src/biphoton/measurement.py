@@ -169,7 +169,7 @@ def two_photon_vector(state: Ket) -> np.ndarray:
 
 
 def ket_from_vector(register, vec) -> Ket:
-    """Sparse two-photon ket from a dense 4-vector over (HH, HV, VH, VV)."""
+    """Two-photon ket from a 4-vector over (HH, HV, VH, VV)."""
     arr = np.asarray(vec, dtype=complex)
     if arr.shape != (4,):
         raise ValidationError(f"expected 4 components, got shape {arr.shape}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -271,7 +272,7 @@ def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
     and register reading ``r``; shape (4, 4, R, 4, 4).
     """
     n_readings = 2 ** len(aux.j_register)
-    resource = to_array(aux.ket).reshape(2, 2, 2, 2, n_readings)
+    resource = aux.ket.array.reshape(2, 2, 2, 2, n_readings)
     bra = _BELL_KETS.conj().reshape(4, 2, 2)
     t = np.einsum("aip,bjq,klpqr->abrklij", bra, bra, resource)
     return t.reshape(4, 4, n_readings, 4, 4)
@@ -312,26 +313,37 @@ def run_protocol(
         )
 
     residuals = _transfer_tensor(aux) @ two_photon_vector(input_state)
+    weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1)
     readings = itertools.product(POLARIZATIONS, repeat=len(aux.j_register))
     readings = ["".join(labels) or None for labels in readings]
     branches = []
     for a, b15 in enumerate(BELL_ORDER):
         for b, b26 in enumerate(BELL_ORDER):
             pair = (b15, b26)
-            accepted = (
-                pair in accepted_pairs
-                and b15 in analyzer.distinguishable
-                and b26 in analyzer.distinguishable
-            )
-            if not accepted:
-                residual = from_array(aux.kept + aux.j_register, residuals[a, b].T)
-                branches.append(_branch(b15, b26, None, residual))
-                continue
-            corrections = corrections_for(pair)
-            kind = "correctable" if corrections else "success"
-            for j, reading in enumerate(readings):
-                sub = apply_corrections(pair, from_array(aux.kept, residuals[a, b, j]))
-                branches.append(_branch(b15, b26, reading, sub, corrections, kind, j))
+            if pair in accepted_pairs and {b15, b26} <= analyzer.distinguishable:
+                corrections = corrections_for(pair)
+                kind = "correctable" if corrections else "success"
+                register = aux.kept
+                outcomes = zip(
+                    readings, range(len(readings)), residuals[a, b], weights[a, b]
+                )
+            else:
+                corrections, kind = (), "inconclusive"
+                register = aux.kept + aux.j_register
+                outcomes = [(None, None, residuals[a, b].T, weights[a, b].sum())]
+            for reading, j, residual, probability in outcomes:
+                probability = float(probability)
+                if probability < ZERO_PROBABILITY:
+                    branches.append(
+                        Branch(b15, b26, reading, probability, corrections, "zero")
+                    )
+                    continue
+                ket = from_array(register, residual / math.sqrt(probability))
+                if j is not None:
+                    ket = apply_corrections(pair, ket)
+                branches.append(
+                    Branch(b15, b26, reading, probability, corrections, kind, j, ket)
+                )
 
     success_probability = sum(b.probability for b in branches if b.is_success)
     inconclusive_probability = sum(
@@ -352,18 +364,6 @@ def run_protocol(
         success_probability=float(success_probability),
         conditional_j=tuple(conditional),
         inconclusive_probability=float(inconclusive_probability),
-    )
-
-
-def _branch(
-    b15, b26, reading, residual, corrections=(), kind="inconclusive", j=None
-) -> Branch:
-    probability = norm(residual) ** 2
-    if probability < ZERO_PROBABILITY:
-        return Branch(b15, b26, reading, probability, corrections, "zero")
-    return Branch(
-        b15, b26, reading, probability, corrections, kind,
-        j=j, residual=normalize(residual),
     )
 
 

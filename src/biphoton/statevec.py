@@ -1,22 +1,26 @@
-"""Sparse state vectors over registers of labeled polarization photons.
+"""Dense state vectors over registers of labeled polarization photons.
 
 A state lives on an explicit register of photon ids (small ints, e.g.
-``(1, 2)`` or ``(3, 4, 5, 6, 7, 8)``) and is stored as a mapping from
-polarization strings like ``"HV"`` to complex amplitudes.  Only nonzero
-components are kept; every operation prunes amplitudes whose squared
-magnitude falls below :data:`PRUNE_THRESHOLD`.
+``(1, 2)`` or ``(3, 4, 5, 6, 7, 8)``) and is stored as one read-only
+complex array of shape ``(2,) * len(register)``: axis ``k`` holds photon
+``register[k]``, index 0 is ``H`` and 1 is ``V``.  Every operation
+zeroes amplitudes whose squared magnitude falls below
+:data:`PRUNE_THRESHOLD`, so a component counts as present exactly when
+its amplitude is nonzero.
 
-Amplitudes are plain ``complex`` numbers.  Photon ids are plain ``int``.
-Component order, wherever a dense layout matters, is the fixed
-lexicographic order H < V (two photons: HH, HV, VH, VV).
+Components are named by polarization strings like ``"HV"`` (one
+character per register slot).  Photon ids are plain ``int``.  Component
+order, wherever a flat layout matters, is the fixed lexicographic order
+H < V (two photons: HH, HV, VH, VV).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,29 +69,59 @@ class DegenerateStateError(ValueError):
     """A (near-)zero state was asked to behave like a physical state."""
 
 
-@dataclass(frozen=True)
-class Ket:
-    """Immutable sparse state vector on an ordered photon register.
+@functools.lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple("".join(k) for k in itertools.product(POLARIZATIONS, repeat=n))
 
-    ``register`` is a tuple of distinct photon ids; ``components`` maps
-    polarization strings (one character per register slot, each ``"H"``
-    or ``"V"``) to complex amplitudes.  Instances are produced by the
-    module functions; the constructor does not re-validate.
+
+def _index(labels: Sequence[str], n: int) -> tuple[int, ...]:
+    """Array index of one component; ``labels`` names one polarization per photon."""
+    lab = "".join(labels)
+    if len(lab) != n:
+        raise ValidationError(f"{len(lab)} labels for a register of {n} photons")
+    for ch in lab:
+        if ch not in POLARIZATIONS:
+            raise ValidationError(f"unknown polarization label {ch!r}")
+    return tuple(POLARIZATIONS.index(ch) for ch in lab)
+
+
+@dataclass(frozen=True, eq=False)
+class Ket:
+    """Immutable state vector on an ordered photon register.
+
+    ``register`` is a tuple of distinct photon ids; ``array`` is a
+    read-only complex array of shape ``(2,) * len(register)`` with axis
+    ``k`` for photon ``register[k]``.  Instances are produced by the
+    module functions; the constructor does not re-validate.  Two kets are
+    equal when their registers and amplitudes are.
     """
 
     register: tuple[int, ...]
-    components: Mapping[str, complex]
+    array: np.ndarray
+
+    @property
+    def components(self) -> dict[str, complex]:
+        """The nonzero components as ``{labels: amplitude}``."""
+        return dict(self.items())
 
     def amplitude(self, labels: str) -> complex:
         """Amplitude of one basis component (0 for absent components)."""
-        return self.components.get(labels, 0j)
+        return complex(self.array[_index(labels, len(self.register))])
 
     def items(self):
-        """Iterate ``(labels, amplitude)`` pairs in lexicographic order."""
-        return iter(sorted(self.components.items()))
+        """Iterate nonzero ``(labels, amplitude)`` pairs in lexicographic order."""
+        amplitudes = zip(_labels(len(self.register)), self.array.reshape(-1).tolist())
+        return ((labels, amp) for labels, amp in amplitudes if amp)
 
     def __len__(self) -> int:
-        return len(self.components)
+        return int(np.count_nonzero(self.array))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ket):
+            return NotImplemented
+        return self.register == other.register and np.array_equal(
+            self.array, other.array
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = " + ".join(
@@ -95,6 +129,18 @@ class Ket:
         )
         reg = ",".join(str(p) for p in self.register)
         return f"Ket[{reg}]({terms or '0'})"
+
+
+def _ket(register: tuple[int, ...], amplitudes) -> Ket:
+    """Ket keeping only components with ``|a|^2 >= PRUNE_THRESHOLD``.
+
+    The test runs on ``|a|`` against the threshold's square root, so huge
+    amplitudes do not overflow; NaN fails it and is dropped.
+    """
+    arr = np.asarray(amplitudes, dtype=complex).reshape((2,) * len(register))
+    kept = np.where(np.abs(arr) >= math.sqrt(PRUNE_THRESHOLD), arr, 0j)
+    kept.flags.writeable = False
+    return Ket(register, kept)
 
 
 def _check_register(register: Sequence[int]) -> tuple[int, ...]:
@@ -107,15 +153,6 @@ def _check_register(register: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(p) for p in reg)
 
 
-def _pruned(register: tuple[int, ...], comps: dict[str, complex]) -> Ket:
-    kept = {
-        labels: amp
-        for labels, amp in comps.items()
-        if (amp.real * amp.real + amp.imag * amp.imag) >= PRUNE_THRESHOLD
-    }
-    return Ket(register, kept)
-
-
 def basis_ket(register: Sequence[int], labels: Sequence[str]) -> Ket:
     """Single computational component, e.g. ``basis_ket((1, 2), "HV")``.
 
@@ -123,15 +160,9 @@ def basis_ket(register: Sequence[int], labels: Sequence[str]) -> Ket:
     supply one polarization (``"H"`` or ``"V"``) per register slot.
     """
     reg = _check_register(register)
-    lab = "".join(labels)
-    if len(lab) != len(reg):
-        raise ValidationError(
-            f"{len(lab)} labels for a register of {len(reg)} photons"
-        )
-    for ch in lab:
-        if ch not in POLARIZATIONS:
-            raise ValidationError(f"unknown polarization label {ch!r}")
-    return Ket(reg, {lab: 1 + 0j})
+    arr = np.zeros((2,) * len(reg), dtype=complex)
+    arr[_index(labels, len(reg))] = 1
+    return _ket(reg, arr)
 
 
 def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
@@ -144,15 +175,12 @@ def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
     if not terms:
         raise ValidationError("superpose needs at least one term")
     register = terms[0][1].register
-    acc: dict[str, complex] = {}
-    for coeff, ket in terms:
+    for _, ket in terms:
         if ket.register != register:
             raise ValidationError(
                 f"register mismatch in superpose: {ket.register} != {register}"
             )
-        for labels, amp in ket.components.items():
-            acc[labels] = acc.get(labels, 0j) + complex(coeff) * amp
-    return _pruned(register, acc)
+    return _ket(register, sum(complex(coeff) * ket.array for coeff, ket in terms))
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -163,12 +191,7 @@ def tensor(a: Ket, b: Ket) -> Ket:
     overlap = set(a.register) & set(b.register)
     if overlap:
         raise ValidationError(f"tensor registers share photons {sorted(overlap)}")
-    register = a.register + b.register
-    comps: dict[str, complex] = {}
-    for la, va in a.components.items():
-        for lb, vb in b.components.items():
-            comps[la + lb] = va * vb
-    return _pruned(register, comps)
+    return _ket(a.register + b.register, np.multiply.outer(a.array, b.array))
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -177,14 +200,7 @@ def inner(a: Ket, b: Ket) -> complex:
         raise ValidationError(
             f"inner product register mismatch: {a.register} != {b.register}"
         )
-    total = 0j
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    for labels in small.components:
-        va = a.components.get(labels)
-        vb = b.components.get(labels)
-        if va is not None and vb is not None:
-            total += va.conjugate() * vb
-    return total
+    return complex(np.vdot(a.array, b.array))
 
 
 def partial_bra(bra: Ket, state: Ket) -> Ket:
@@ -197,24 +213,17 @@ def partial_bra(bra: Ket, state: Ket) -> Ket:
     the full register yields a state on the empty register whose single
     amplitude is ``inner(bra, state)``.
     """
-    positions = []
     for p in bra.register:
         if p not in state.register:
             raise ValidationError(
                 f"bra photon {p} not in state register {state.register}"
             )
-        positions.append(state.register.index(p))
-    keep = [i for i in range(len(state.register)) if i not in positions]
-    out_register = tuple(state.register[i] for i in keep)
-    comps: dict[str, complex] = {}
-    for labels, amp in state.components.items():
-        bra_labels = "".join(labels[i] for i in positions)
-        coeff = bra.components.get(bra_labels)
-        if coeff is None:
-            continue
-        rest = "".join(labels[i] for i in keep)
-        comps[rest] = comps.get(rest, 0j) + coeff.conjugate() * amp
-    return _pruned(out_register, comps)
+    positions = [state.register.index(p) for p in bra.register]
+    out = np.tensordot(
+        bra.array.conj(), state.array, axes=(range(len(positions)), positions)
+    )
+    rest = tuple(p for p in state.register if p not in bra.register)
+    return _ket(rest, out)
 
 
 def apply_one_photon(op, photon: int, state: Ket) -> Ket:
@@ -231,23 +240,12 @@ def apply_one_photon(op, photon: int, state: Ket) -> Ket:
             f"photon {photon} not in state register {state.register}"
         )
     pos = state.register.index(photon)
-    comps: dict[str, complex] = {}
-    for labels, amp in state.components.items():
-        col = 0 if labels[pos] == H else 1
-        for row, out in enumerate(POLARIZATIONS):
-            coeff = mat[row, col]
-            if coeff == 0:
-                continue
-            new_labels = labels[:pos] + out + labels[pos + 1 :]
-            comps[new_labels] = comps.get(new_labels, 0j) + coeff * amp
-    return _pruned(state.register, comps)
+    return _ket(state.register, mat @ state.array.reshape(2**pos, 2, -1))
 
 
 def norm(state: Ket) -> float:
     """Euclidean norm ``sqrt(sum |amplitude|^2)``."""
-    return math.sqrt(
-        sum(a.real * a.real + a.imag * a.imag for a in state.components.values())
-    )
+    return math.sqrt(np.vdot(state.array, state.array).real)
 
 
 def normalize(state: Ket) -> Ket:
@@ -255,9 +253,7 @@ def normalize(state: Ket) -> Ket:
     n = norm(state)
     if n <= ZERO_NORM:
         raise DegenerateStateError(f"cannot normalize state of norm {n:g}")
-    return _pruned(
-        state.register, {k: v / n for k, v in state.components.items()}
-    )
+    return _ket(state.register, state.array / n)
 
 
 def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
@@ -272,28 +268,18 @@ def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     bn = normalize(b)
     overlap = inner(an, bn)
     phase = overlap / abs(overlap) if overlap else 1.0
-    return all(
-        abs(an.amplitude(labels) * phase - bn.amplitude(labels)) <= tol
-        for labels in an.components.keys() | bn.components.keys()
-    )
-
-
-_BITS = str.maketrans("HV", "01")
+    return bool((np.abs(an.array * phase - bn.array) <= tol).all())
 
 
 def to_array(state: Ket) -> np.ndarray:
-    """Flat dense amplitudes over the register's lexicographic basis."""
-    out = np.zeros(2 ** len(state.register), dtype=complex)
-    for labels, amp in state.components.items():
-        out[int("0" + labels.translate(_BITS), 2)] = amp
-    return out
+    """Flat read-only amplitudes over the register's lexicographic basis."""
+    return state.array.reshape(-1)
 
 
 def from_array(register: Sequence[int], amplitudes) -> Ket:
     """Pruned ket from ``2**n`` amplitudes in row-major lexicographic order."""
     reg = _check_register(register)
-    arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    arr = np.asarray(amplitudes, dtype=complex)
     if arr.size != 2 ** len(reg):
         raise ValidationError(f"{arr.size} amplitudes for {len(reg)} photons")
-    labels = itertools.product(POLARIZATIONS, repeat=len(reg))
-    return _pruned(reg, {"".join(k): a for k, a in zip(labels, arr.tolist())})
+    return _ket(reg, arr)

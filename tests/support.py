@@ -1,11 +1,11 @@
 """Shared helpers for the test suite.
 
 The dense-array functions here form an independent oracle path: they
-build full multi-photon state tensors with numpy outer products and
-contract them with ``tensordot``, never touching the package's sparse
-dictionary algebra.  Conventions match the package only at the level of
-published definitions (component order HH, HV, VH, VV; photon axes in
-register order).
+build full multi-photon state tensors from their definitions with numpy
+outer products and contract them with ``tensordot``, never calling the
+package's state algebra (``src/`` does not import this module).
+Conventions match the package only at the level of published definitions
+(component order HH, HV, VH, VV; photon axes in register order).
 """
 
 import numpy as np

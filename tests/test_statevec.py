@@ -57,6 +57,24 @@ def test_basis_ket_rejects_bad_input():
         basis_ket((1, 1), "HH")  # repeated photon id
 
 
+def test_amplitude_rejects_malformed_labels():
+    ket = basis_ket((1, 2), "HV")
+    with pytest.raises(ValidationError):
+        ket.amplitude("H")  # too few labels
+    with pytest.raises(ValidationError):
+        ket.amplitude("HVH")  # too many labels
+    with pytest.raises(ValidationError):
+        ket.amplitude("HX")  # unknown polarization
+
+
+def test_kets_compare_by_register_and_amplitudes():
+    hh = basis_ket((1, 2), "HH")
+    assert hh == superpose([(1.0, basis_ket((1, 2), "HH"))])
+    assert hh != basis_ket((2, 1), "HH")  # different register
+    assert hh != superpose([(-1.0, hh)])  # different amplitude
+    assert hh != basis_ket((1, 2), "HV")
+
+
 def test_superpose_psi_plus_pattern():
     psi = superpose(
         [
@@ -269,7 +287,7 @@ def ket_strategy(register):
         labels = [lab + pol for lab in labels for pol in "HV"]
 
     def build(amps):
-        return Ket(tuple(register), dict(zip(labels, amps)))
+        return from_array(register, amps)
 
     return st.lists(
         finite_complex, min_size=len(labels), max_size=len(labels)
