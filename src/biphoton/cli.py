@@ -53,6 +53,7 @@ from biphoton.protocol import (
 )
 from biphoton.statevec import (
     DEFAULT_TOL,
+    ZERO_PROBABILITY,
     Ket,
     DegenerateStateError,
     ValidationError,
@@ -331,7 +332,7 @@ def load_config(data) -> RunConfig:
     if not np.isfinite(vec).all():
         raise ValidationError("input_state has non-finite components")
     norm = float(np.linalg.norm(vec))
-    if norm < 1e-6:
+    if norm * norm < ZERO_PROBABILITY:
         raise ValidationError("input_state has (near-)zero norm")
     warnings = []
     if abs(norm - 1.0) > tol:

@@ -192,7 +192,7 @@ def expectation(family: ProjectorFamily, j: int, state: Ket) -> float:
     """Outcome probability ``<state|P_j|state>`` for a normalized state."""
     _require_outcome(family, j)
     n = norm(state)
-    if abs(n - 1.0) > 1e-8:
+    if abs(n - 1.0) > DEFAULT_TOL:
         raise ValidationError(f"expectation requires a normalized state, norm={n:.6g}")
     vec = two_photon_vector(state)
     value = np.vdot(vec, family.projectors[j] @ vec).real

@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton import auxprep
+from biphoton import auxprep, measurement
 from biphoton.auxprep import KEPT_PAIR
 from biphoton.measurement import ProjectorFamily, ket_from_vector, two_photon_vector
 from biphoton.statevec import (
     DEFAULT_TOL,
     POLARIZATIONS,
+    ZERO_PROBABILITY,
     Ket,
     ValidationError,
     apply_one_photon,
@@ -74,9 +75,6 @@ __all__ = [
 ]
 
 INPUT_PAIR = (1, 2)
-
-#: Branches below this probability are reported but carry no state.
-ZERO_PROBABILITY = 1e-12
 
 MODES = ("general", "parity5", "parity4")
 
@@ -231,16 +229,12 @@ class Verdict:
     mismatches: tuple
 
 
-_PARITY_PROJECTORS = (
-    np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex),
-    np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex),
-)
+_PARITY = measurement.parity_family()
 
 
-def _is_parity(family: ProjectorFamily) -> bool:
-    return family.n_outcomes == 2 and all(
-        np.allclose(family.projectors[j], _PARITY_PROJECTORS[j], atol=1e-10)
-        for j in range(2)
+def _is_parity(family: ProjectorFamily, tol: float) -> bool:
+    return family.n_outcomes == 2 and bool(
+        np.abs(np.subtract(family.projectors, _PARITY.projectors)).max() <= tol
     )
 
 
@@ -300,7 +294,7 @@ def run_protocol(
         accepted_pairs = {(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS)}
         aux = auxprep.build_general_aux(family)
     else:
-        if not _is_parity(family):
+        if not _is_parity(family, tol):
             raise ValidationError(
                 f"mode {mode!r} requires the parity projector family"
             )
@@ -316,6 +310,9 @@ def run_protocol(
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1)
     readings = itertools.product(POLARIZATIONS, repeat=len(aux.j_register))
     readings = ["".join(labels) or None for labels in readings]
+    # Readings j >= J weigh exactly zero, but they still get a slot.
+    per_outcome = [0.0] * max(family.n_outcomes, len(readings))
+    inconclusive_probability = 0.0
     branches = []
     for a, b15 in enumerate(BELL_ORDER):
         for b, b26 in enumerate(BELL_ORDER):
@@ -333,6 +330,10 @@ def run_protocol(
                 outcomes = [(None, None, residuals[a, b].T, weights[a, b].sum())]
             for reading, j, residual, probability in outcomes:
                 probability = float(probability)
+                if j is None:
+                    inconclusive_probability += probability
+                else:
+                    per_outcome[j] += probability
                 if probability < ZERO_PROBABILITY:
                     branches.append(
                         Branch(b15, b26, reading, probability, corrections, "zero")
@@ -345,25 +346,19 @@ def run_protocol(
                     Branch(b15, b26, reading, probability, corrections, kind, j, ket)
                 )
 
-    success_probability = sum(b.probability for b in branches if b.is_success)
-    inconclusive_probability = sum(
-        b.probability for b in branches if b.kind == "inconclusive"
-    )
+    success_probability = sum(per_outcome)
     conditional = [0.0] * family.n_outcomes
-    if success_probability > ZERO_PROBABILITY:
-        for b in branches:
-            if b.is_success:
-                conditional[b.j] += b.probability
-        conditional = [c / success_probability for c in conditional]
+    if success_probability >= ZERO_PROBABILITY:
+        conditional = [p / success_probability for p in per_outcome[: len(conditional)]]
     return ProtocolReport(
         mode=mode,
         analyzer=analyzer,
         input_state=input_state,
         family=family,
         branches=tuple(branches),
-        success_probability=float(success_probability),
+        success_probability=success_probability,
         conditional_j=tuple(conditional),
-        inconclusive_probability=float(inconclusive_probability),
+        inconclusive_probability=inconclusive_probability,
     )
 
 
@@ -380,13 +375,11 @@ def oracle_report(
     probabilities = []
     states = []
     for proj in family.projectors:
-        projected = proj @ vec
-        p = float(np.vdot(projected, projected).real)
+        image = proj @ vec
+        p = float(np.vdot(image, image).real)
         probabilities.append(p)
-        if p > ZERO_PROBABILITY:
-            states.append(normalize(ket_from_vector(KEPT_PAIR, projected)))
-        else:
-            states.append(None)
+        zero = p < ZERO_PROBABILITY
+        states.append(None if zero else normalize(ket_from_vector(KEPT_PAIR, image)))
     return OracleStatistics(tuple(probabilities), tuple(states))
 
 
@@ -412,11 +405,9 @@ def compare_reports(
                 f"{report.success_probability:.12g} != "
                 f"(1/2) * even-parity weight {expected_total:.12g}"
             )
-        expected_conditional = [0.0] * len(oracle.probabilities)
-        if report.success_probability > tol:
-            expected_conditional[0] = 1.0
-        else:
-            expected_conditional = list(report.conditional_j)  # vacuous
+        expected_conditional = list(report.conditional_j)  # vacuous
+        if report.success_probability >= ZERO_PROBABILITY:
+            expected_conditional = [1.0] + [0.0] * (len(oracle.probabilities) - 1)
     else:
         expected_conditional = list(oracle.probabilities)
 

@@ -3,15 +3,22 @@
 A state lives on an explicit register of photon ids (small ints, e.g.
 ``(1, 2)`` or ``(3, 4, 5, 6, 7, 8)``) and is stored as one read-only
 complex array of shape ``(2,) * len(register)``: axis ``k`` holds photon
-``register[k]``, index 0 is ``H`` and 1 is ``V``.  Every operation
-zeroes amplitudes whose squared magnitude falls below
-:data:`PRUNE_THRESHOLD`, so a component counts as present exactly when
-its amplitude is nonzero.
+``register[k]``, index 0 is ``H`` and 1 is ``V``.
 
 Components are named by polarization strings like ``"HV"`` (one
 character per register slot).  Photon ids are plain ``int``.  Component
 order, wherever a flat layout matters, is the fixed lexicographic order
 H < V (two photons: HH, HV, VH, VV).
+
+Numeric policy, followed by every module:
+
+* amplitude zero: ``|a|**2 < PRUNE_THRESHOLD`` zeroes an amplitude, and a
+  state with ``norm**2 < PRUNE_THRESHOLD`` is degenerate;
+* probability zero: an outcome below ``ZERO_PROBABILITY`` carries no state
+  (branch residual, oracle state, conditional distribution), and a config
+  input with ``norm**2`` below it is rejected; totals still add it;
+* agreement: two values agree when no component differs by more than the
+  caller's ``tol``, or by ``DEFAULT_TOL`` when there is none.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ __all__ = [
     "V",
     "POLARIZATIONS",
     "PRUNE_THRESHOLD",
+    "ZERO_PROBABILITY",
     "DEFAULT_TOL",
-    "ZERO_NORM",
     "ValidationError",
     "DegenerateStateError",
     "Ket",
@@ -51,14 +58,14 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-#: Squared-magnitude threshold below which components are dropped.
+#: Squared magnitude below which an amplitude (or a state's norm) is zero.
 PRUNE_THRESHOLD = 1e-24
+
+#: Probability below which an outcome carries no state.
+ZERO_PROBABILITY = 1e-12
 
 #: Default tolerance for approximate comparisons (norms, overlaps, phases).
 DEFAULT_TOL = 1e-10
-
-#: Norm below which a state counts as degenerate (not normalizable).
-ZERO_NORM = 1e-12
 
 
 class ValidationError(ValueError):
@@ -251,7 +258,7 @@ def norm(state: Ket) -> float:
 def normalize(state: Ket) -> Ket:
     """Scale to unit norm; raises ``DegenerateStateError`` near zero."""
     n = norm(state)
-    if n <= ZERO_NORM:
+    if n * n < PRUNE_THRESHOLD:
         raise DegenerateStateError(f"cannot normalize state of norm {n:g}")
     return _ket(state.register, state.array / n)
 

@@ -378,6 +378,27 @@ def test_verify_command_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_passes_near_zero_parity4_input_at_small_tol(tmp_path, capsys):
+    # success probability 5e-13 lies below the probability-zero rule but
+    # far above tol: the total must still count it.
+    config = base_config(
+        mode="parity4",
+        tol=1e-13,
+        input_state=[[1e-6, 0], [0.9999999999995, 0], [0, 0], [0, 0]],
+    )
+    path = write_config(tmp_path, config)
+    assert main(["verify", "--config", path]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_load_config_near_zero_input_follows_probability_zero_rule():
+    # norm**2 below ZERO_PROBABILITY (1e-12) is rejected, just above is kept
+    with pytest.raises(ValidationError, match="near-"):
+        load_config(base_config(input_state=[[9e-7, 0], 0, 0, 0]))
+    cfg = load_config(base_config(input_state=[[1.1e-6, 0], 0, 0, 0]))
+    assert cfg.input_state.amplitude("HH") == pytest.approx(1.0)
+
+
 def test_exit_code_validation_failure(tmp_path, capsys):
     bad_basis = {
         "input_state": "|HH>",

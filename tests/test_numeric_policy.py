@@ -1,0 +1,74 @@
+"""The numeric policy is stated once, in ``biphoton.statevec``.
+
+Every other module decides "is this zero" and "do these agree" with the
+constants statevec exports or with the caller's ``tol``; a small float
+literal anywhere else is a threshold drifting back in.
+"""
+
+import ast
+from pathlib import Path
+
+import biphoton
+import biphoton.protocol as protocol
+import biphoton.statevec as statevec
+
+PACKAGE = Path(biphoton.__file__).parent
+POLICY_MODULE = "statevec.py"
+
+
+def small_float_literals(path):
+    """``(line, value)`` of every float literal with ``0 < |value| < 1e-3``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-3
+    ]
+
+
+def module_level_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_no_module_but_statevec_carries_a_small_threshold():
+    found = {
+        path.name: small_float_literals(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != POLICY_MODULE
+    }
+    assert {name: lits for name, lits in found.items() if lits} == {}
+
+
+def test_policy_module_literals_are_seen():
+    # The check above would pass vacuously if it could not see literals.
+    values = {v for _, v in small_float_literals(PACKAGE / POLICY_MODULE)}
+    assert {
+        statevec.PRUNE_THRESHOLD,
+        statevec.ZERO_PROBABILITY,
+        statevec.DEFAULT_TOL,
+    } <= values
+
+
+def test_zero_probability_is_defined_once_and_still_importable():
+    owners = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "ZERO_PROBABILITY" in module_level_names(path)
+    ]
+    assert owners == [POLICY_MODULE]
+    assert protocol.ZERO_PROBABILITY is statevec.ZERO_PROBABILITY
+    assert "ZERO_PROBABILITY" in protocol.__all__
+
+
+def test_retired_thresholds_are_gone():
+    assert not hasattr(statevec, "ZERO_NORM")
+    assert not hasattr(protocol, "_PARITY_PROJECTORS")

@@ -18,6 +18,7 @@ from biphoton.protocol import (
     CORRECTIONS,
     IDEAL_ANALYZER,
     LINEAR_ANALYZER,
+    MODES,
     AnalyzerModel,
     BellOutcome,
     apply_corrections,
@@ -609,3 +610,89 @@ def test_compare_reports_flags_partner_without_flip(monkeypatch):
     verdict = compare_reports(report, oracle_report(beta, parity_family()))
     assert not verdict.passed
     assert verdict.mismatches
+
+
+# ---------------------------------------------------------------------------
+# numeric policy: near-zero outcomes and small tolerances
+# ---------------------------------------------------------------------------
+
+SMALL_TOLS = (1e-10, 1e-12, 1e-13, 1e-14)
+NEAR_ZERO_WEIGHTS = (1e-14, 1e-13, 1e-12, 5e-12, 1e-11, 3e-11, 1e-10)
+
+
+def near_zero_inputs(eps):
+    """sqrt(eps)|HH> + sqrt(1-eps)|HV> and the same with the weights swapped."""
+    small, large = np.sqrt(eps), np.sqrt(1.0 - eps)
+    return input_ket([small, large, 0, 0]), input_ket([large, small, 0, 0])
+
+
+def test_exact_runs_pass_the_oracle_at_every_small_tol():
+    """The scheme is exact, so no tolerance the library accepts may fail it:
+    168 runs whose even- or odd-parity weight sits near the zero rules."""
+    fam = parity_family()
+    failures = []
+    runs = 0
+    for tol in SMALL_TOLS:
+        for eps in NEAR_ZERO_WEIGHTS:
+            for beta in near_zero_inputs(eps):
+                for mode in MODES:
+                    report = run_protocol(beta, fam, mode, tol=tol)
+                    oracle = oracle_report(beta, fam, tol=tol)
+                    verdict = compare_reports(report, oracle, tol=tol)
+                    runs += 1
+                    if not verdict.passed:
+                        failures.append((tol, eps, mode, verdict.mismatches[0]))
+    assert runs == 168
+    assert failures == []
+
+
+def _totals_cases():
+    rng = np.random.default_rng(4401)
+    parity = parity_family()
+    for eps in (1e-13, 5e-12):
+        for beta in near_zero_inputs(eps):
+            for mode in MODES:
+                yield beta, parity, mode
+    for n_outcomes in (1, 2, 3, 4):
+        fam = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+        yield input_ket(random_unit_vector(rng)), fam, "general"
+
+
+def test_totals_add_every_branch_probability():
+    for beta, fam, mode in _totals_cases():
+        for analyzer in (LINEAR_ANALYZER, IDEAL_ANALYZER):
+            report = run_protocol(beta, fam, mode, analyzer)
+            every_branch = sum(b.probability for b in report.branches)
+            totals = report.success_probability + report.inconclusive_probability
+            assert abs(totals - every_branch) <= 1e-14
+            assert len(report.conditional_j) == fam.n_outcomes
+
+
+def test_success_total_keeps_branches_too_small_to_carry_a_state():
+    # parity4 success is half the even weight, 5e-13 here: every success
+    # row is a "zero" branch, yet the total must still count it.
+    beta = near_zero_inputs(1e-12)[0]
+    report = run_protocol(beta, parity_family(), "parity4", tol=1e-13)
+    success_rows = [b for b in report.branches if b.bell15 is PSI_PLUS
+                    and b.bell26 is PSI_PLUS]
+    assert [b.kind for b in success_rows] == ["zero"]
+    assert report.success_probability == pytest.approx(5e-13, rel=1e-9)
+    assert report.conditional_j == (0.0, 0.0)
+    assert compare_reports(
+        report, oracle_report(beta, parity_family(), tol=1e-13), tol=1e-13
+    ).passed
+
+
+def test_parity_modes_judge_the_family_within_tol():
+    theta = 1e-6  # mixes |HH> into the odd subspace by ~1e-6 per projector entry
+    c, s = np.cos(theta), np.sin(theta)
+    rows = np.array(
+        [[c, s, 0, 0], [0, 0, 0, 1], [-s, c, 0, 0], [0, 0, 1, 0]], dtype=complex
+    )
+    fam = family_from_assignment(rows, [[1, 0], [1, 0], [0, 1], [0, 1]])
+    with pytest.raises(ValidationError, match="parity projector family"):
+        run_protocol(hh_input(), fam, "parity5")
+    report = run_protocol(hh_input(), fam, "parity5", tol=1e-5)
+    assert report.success_probability == pytest.approx(0.25, abs=1e-12)
