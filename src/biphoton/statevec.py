@@ -23,6 +23,7 @@ Numeric policy, followed by every module:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -175,30 +176,43 @@ def basis_ket(register: Sequence[int], labels: Sequence[str]) -> Ket:
 def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
     """Linear combination ``sum(coeff * ket)`` of states on one register.
 
-    All terms must share the same register (same ids, same order).
-    The result is not normalized.
+    All terms must share the same register (same ids, same order) and
+    every coefficient must be finite.  The result is not normalized.
     """
-    terms = list(terms)
+    terms = [(complex(coeff), ket) for coeff, ket in terms]
     if not terms:
         raise ValidationError("superpose needs at least one term")
     register = terms[0][1].register
-    for _, ket in terms:
+    for coeff, ket in terms:
         if ket.register != register:
             raise ValidationError(
                 f"register mismatch in superpose: {ket.register} != {register}"
             )
-    return _ket(register, sum(complex(coeff) * ket.array for coeff, ket in terms))
+        if not cmath.isfinite(coeff):
+            raise ValidationError(f"non-finite coefficient {coeff} in superpose")
+    return _ket(register, sum(coeff * ket.array for coeff, ket in terms))
+
+
+#: Takes the real products (xr*yr, xr*yi, xi*yr, xi*yi) of two complex
+#: numbers to (re, im) of x*y.  Its entries are 0 and +-1, so each part is
+#: rounded once, exactly as the real expressions would be.
+_COMPLEX_PRODUCT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product on the concatenated register ``a.register + b.register``.
 
-    The registers must be disjoint.
+    The registers must be disjoint.  Products are formed in real
+    arithmetic, so ``a * conj(a)`` has an imaginary part of exactly zero
+    (numpy's fused complex multiply leaves a rounding residue there).
     """
     overlap = set(a.register) & set(b.register)
     if overlap:
         raise ValidationError(f"tensor registers share photons {sorted(overlap)}")
-    return _ket(a.register + b.register, np.multiply.outer(a.array, b.array))
+    x = a.array.reshape(-1).view(float).reshape(-1, 1, 2, 1)
+    y = b.array.reshape(-1).view(float).reshape(1, -1, 1, 2)
+    product = ((x * y).reshape(-1, 4) @ _COMPLEX_PRODUCT).view(complex)
+    return _ket(a.register + b.register, product)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -255,27 +269,32 @@ def norm(state: Ket) -> float:
     return math.sqrt(np.vdot(state.array, state.array).real)
 
 
+def _nonzero_norm(state: Ket, action: str) -> float:
+    """Norm of ``state``; ``DegenerateStateError`` under the amplitude-zero rule."""
+    n = norm(state)
+    if n < math.sqrt(PRUNE_THRESHOLD):  # the same test _ket applies to |a|
+        raise DegenerateStateError(f"cannot {action} state of norm {n:g}")
+    return n
+
+
 def normalize(state: Ket) -> Ket:
     """Scale to unit norm; raises ``DegenerateStateError`` near zero."""
-    n = norm(state)
-    if n * n < PRUNE_THRESHOLD:
-        raise DegenerateStateError(f"cannot normalize state of norm {n:g}")
-    return _ket(state.register, state.array / n)
+    return _ket(state.register, state.array / _nonzero_norm(state, "normalize"))
 
 
 def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True when ``a`` and ``b`` agree up to a global phase.
 
-    Both states are normalized and ``a`` is rotated onto ``b``'s phase
-    through their overlap; every component must then agree within
+    Both states are scaled to unit norm and ``a`` is rotated onto ``b``'s
+    phase through their overlap; every component must then agree within
     ``tol``.  Degenerate (near-zero) inputs raise rather than compare
     equal.
     """
-    an = normalize(a)
-    bn = normalize(b)
-    overlap = inner(an, bn)
+    overlap = inner(a, b)
     phase = overlap / abs(overlap) if overlap else 1.0
-    return bool((np.abs(an.array * phase - bn.array) <= tol).all())
+    a_unit = a.array * (phase / _nonzero_norm(a, "compare"))
+    b_unit = b.array / _nonzero_norm(b, "compare")
+    return bool((np.abs(a_unit - b_unit) <= tol).all())
 
 
 def to_array(state: Ket) -> np.ndarray:
@@ -284,9 +303,11 @@ def to_array(state: Ket) -> np.ndarray:
 
 
 def from_array(register: Sequence[int], amplitudes) -> Ket:
-    """Pruned ket from ``2**n`` amplitudes in row-major lexicographic order."""
+    """Pruned ket from ``2**n`` finite amplitudes in row-major lexicographic order."""
     reg = _check_register(register)
     arr = np.asarray(amplitudes, dtype=complex)
     if arr.size != 2 ** len(reg):
         raise ValidationError(f"{arr.size} amplitudes for {len(reg)} photons")
+    if not np.isfinite(arr).all():
+        raise ValidationError("state vector has non-finite components")
     return _ket(reg, arr)

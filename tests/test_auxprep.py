@@ -138,6 +138,25 @@ def test_general_aux_normalized_for_random_families(seed):
     assert norm(aux.ket) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_general_aux_conjugate_pair_entries_are_exactly_real():
+    """Entry [k1, k2, 1-k1, 1-k2, ...] sums a * conj(a) over basis rows,
+    which is real; no rounding residue may reach the reports."""
+    rng = np.random.default_rng(20261018)
+    residues = 0
+    for _ in range(100):
+        n_outcomes = int(rng.integers(1, 5))
+        fam = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+        array = build_general_aux(fam).ket.array
+        residues += sum(
+            bool(np.any(array[k1, k2, 1 - k1, 1 - k2].imag != 0.0))
+            for k1 in (0, 1)
+            for k2 in (0, 1)
+        )
+    assert residues == 0
+
+
 def test_parity_aux5_components():
     aux = build_parity_aux5()
     assert aux.ket.register == (3, 4, 5, 6, 7)

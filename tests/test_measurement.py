@@ -148,6 +148,15 @@ def test_expectation_requires_normalized_state():
         expectation(fam, 0, superpose([(2.0, basis_ket((1, 2), "HH"))]))
 
 
+def test_expectation_checks_the_norm_within_default_tol():
+    fam = parity_family()
+    off = superpose([(1.0 + 1e-9, basis_ket((1, 2), "HH"))])  # norm 1 + 1e-9
+    with pytest.raises(ValidationError, match="normalized"):
+        expectation(fam, 0, off)
+    close = superpose([(1.0 + 1e-11, basis_ket((1, 2), "HH"))])
+    assert expectation(fam, 0, close) == pytest.approx(1.0)
+
+
 def test_vector_round_trip():
     vec = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
     ket = ket_from_vector((1, 2), vec)

@@ -675,8 +675,9 @@ def test_success_total_keeps_branches_too_small_to_carry_a_state():
     # row is a "zero" branch, yet the total must still count it.
     beta = near_zero_inputs(1e-12)[0]
     report = run_protocol(beta, parity_family(), "parity4", tol=1e-13)
-    success_rows = [b for b in report.branches if b.bell15 is PSI_PLUS
-                    and b.bell26 is PSI_PLUS]
+    success_rows = [
+        b for b in report.branches if (b.bell15, b.bell26) == (PSI_PLUS, PSI_PLUS)
+    ]
     assert [b.kind for b in success_rows] == ["zero"]
     assert report.success_probability == pytest.approx(5e-13, rel=1e-9)
     assert report.conditional_j == (0.0, 0.0)

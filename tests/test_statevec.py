@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton.statevec as statevec
 from biphoton.statevec import (
     DegenerateStateError,
     Ket,
@@ -55,6 +56,25 @@ def test_basis_ket_rejects_bad_input():
         basis_ket((1, 2), "HX")  # unknown polarization
     with pytest.raises(ValidationError):
         basis_ket((1, 1), "HH")  # repeated photon id
+
+
+def test_superpose_rejects_non_finite_coefficient():
+    h = basis_ket((1,), "H")
+    for coeff in (math.inf, -math.inf, math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            superpose([(coeff, h)])
+    with pytest.raises(ValidationError, match="non-finite"):
+        superpose([(1.0, h), (math.nan, basis_ket((1,), "V"))])
+
+
+def test_from_array_rejects_non_finite_amplitudes():
+    for amplitudes in (
+        [math.nan, 1, 0, 0],
+        [0, math.inf, 0, 0],
+        [0, 0, complex(1.0, -math.inf), 0],
+    ):
+        with pytest.raises(ValidationError, match="non-finite"):
+            from_array((1, 2), amplitudes)
 
 
 def test_amplitude_rejects_malformed_labels():
@@ -238,6 +258,48 @@ def test_phase_equal_ignores_global_phase():
     perturbed = superpose([(1.0, even), (1e-7, basis_ket((1, 2), "HV"))])
     assert not phase_equal(even, perturbed, tol=1e-10)
     assert phase_equal(even, superpose([(1j, even)]), tol=1e-10)
+
+
+def test_phase_equal_works_on_the_arrays(monkeypatch):
+    a = superpose([(3.0, basis_ket((1, 2), "HH")), (4.0, basis_ket((1, 2), "VV"))])
+    b = superpose([(-0.6j, basis_ket((1, 2), "HH")), (-0.8j, basis_ket((1, 2), "VV"))])
+    hh = basis_ket((1, 2), "HH")
+    zero = superpose([(0.0, hh)])
+
+    def no_new_kets(*args):
+        raise AssertionError("phase_equal built a Ket")
+
+    monkeypatch.setattr(statevec, "_ket", no_new_kets)
+    assert phase_equal(a, b)
+    assert not phase_equal(a, hh)
+    with pytest.raises(DegenerateStateError):
+        phase_equal(a, zero)
+    with pytest.raises(DegenerateStateError):
+        phase_equal(zero, b)
+
+
+def test_degenerate_states_follow_the_amplitude_zero_rule():
+    # norm**2 at PRUNE_THRESHOLD is still a state; the zero state is not
+    tiny = superpose([(1e-12, basis_ket((1,), "H"))])
+    assert norm(normalize(tiny)) == pytest.approx(1.0)
+    assert phase_equal(tiny, basis_ket((1,), "H"))
+    with pytest.raises(DegenerateStateError):
+        normalize(superpose([(9e-13, basis_ket((1,), "H"))]))
+
+
+def test_tensor_of_conjugate_amplitudes_has_exactly_real_diagonal():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        a = from_array((1, 2), amps)
+        b = from_array((3, 4), amps.conj())
+        product = tensor(a, b).array
+        reference = np.multiply.outer(a.array, b.array)
+        scale = np.abs(amps).max() ** 2
+        np.testing.assert_allclose(product, reference, rtol=0, atol=4e-16 * scale)
+        for k1 in (0, 1):
+            for k2 in (0, 1):
+                assert product[k1, k2, k1, k2].imag == 0.0
 
 
 def test_pruning_threshold_behaviour():
