@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
@@ -95,17 +97,14 @@ def encode_j_one_photon(j: int) -> Ket:
 
 def build_general_aux(family: ProjectorFamily) -> AuxState:
     """Six-photon resource implementing an arbitrary projector family."""
-    terms = []
-    for j in range(family.n_outcomes):
-        j_ket = encode_j_two_photon(j)
-        for i in range(4):
-            if family.assignment[i, j]:
-                kept = from_array(KEPT_PAIR, family.basis.states[i])
-                partner = conjugate_partner(family.basis, i)
-                terms.append((0.5, tensor(tensor(kept, partner), j_ket)))
-    return AuxState(
-        superpose(terms), KEPT_PAIR, PARTNER_PAIR, J_REGISTER_TWO
-    )
+    # Row i adds |a^i>_34 |a^i~>_56 to column j, the register reading |j>_78.
+    amplitudes = np.zeros((16, 4), dtype=complex)
+    for i, j in enumerate(family.assignment.argmax(axis=1)):
+        kept = from_array(KEPT_PAIR, family.basis.states[i])
+        partner = conjugate_partner(family.basis, i)
+        amplitudes[:, j] += tensor(kept, partner).array.reshape(16)
+    ket = from_array(KEPT_PAIR + PARTNER_PAIR + J_REGISTER_TWO, 0.5 * amplitudes)
+    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, J_REGISTER_TWO)
 
 
 def build_parity_aux5() -> AuxState:

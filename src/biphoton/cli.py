@@ -38,6 +38,7 @@ from biphoton.measurement import (
     family_from_assignment,
     ket_from_vector,
     parity_family,
+    validate_basis,
 )
 from biphoton.protocol import (
     IDEAL_ANALYZER,
@@ -277,7 +278,7 @@ def _input_components(value) -> np.ndarray:
     )
 
 
-def _family_from_value(value) -> ProjectorFamily:
+def _family_from_value(value, tol: float) -> ProjectorFamily:
     if value == "parity":
         return parity_family()
     if isinstance(value, dict):
@@ -298,7 +299,8 @@ def _family_from_value(value) -> ProjectorFamily:
             rows.append(
                 [_complex_entry(v, f"basis[{i}][{k}]") for k, v in enumerate(row)]
             )
-        return family_from_assignment(np.array(rows), value["assignment"])
+        basis = validate_basis(np.array(rows), tol)
+        return family_from_assignment(basis, value["assignment"])
     raise ValidationError(
         "family must be \"parity\" or an object with 'basis' and 'assignment'"
     )
@@ -327,7 +329,7 @@ def load_config(data) -> RunConfig:
             f"unknown analyzer {analyzer_name!r}, expected 'linear' or 'ideal'"
         )
 
-    family = _family_from_value(data["family"])
+    family = _family_from_value(data["family"], tol)
     vec = _input_components(data["input_state"])
     if not np.isfinite(vec).all():
         raise ValidationError("input_state has non-finite components")

@@ -14,6 +14,7 @@ component order (HH, HV, VH, VV).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def _validate_assignment(table) -> np.ndarray:
         raise ValidationError(
             f"number of outcomes must be between 1 and {MAX_OUTCOMES}, got {n_outcomes}"
         )
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError("assignment entries must be 0 or 1")
     row_sums = arr.sum(axis=1)
     if not (row_sums == 1).all():
@@ -133,11 +134,12 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     return ProjectorFamily(basis, table, tuple(projectors))
 
 
+@functools.cache
 def parity_family() -> ProjectorFamily:
     """Two-outcome polarization-parity measurement.
 
     Outcome 0 projects onto span{|HH>, |VV>} (even parity), outcome 1
-    onto span{|HV>, |VH>} (odd parity).
+    onto span{|HV>, |VH>} (odd parity).  Built once; the family is frozen.
     """
     states = np.array(
         [

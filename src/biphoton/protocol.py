@@ -16,8 +16,8 @@ the kept photons:
 PhiPlus/PhiMinus outcomes would need polarization flips, which neither
 the linear-optics analyzer can distinguish nor a phase correction can
 undo, so they are reported as inconclusive.  ``run_protocol`` reads every
-branch residual off one transfer tensor as ``T[b15, b26, r] @ beta``, so
-the reported probabilities are exhaustive and must sum to one;
+residual off one transfer tensor as ``T[b15, b26, r] @ beta``, corrected by
+sign masks, so the reported probabilities are exhaustive and sum to one;
 ``oracle_report`` computes the target measurement statistics directly
 from the projectors and ``compare_reports`` checks the two against each
 other.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -42,9 +41,9 @@ from biphoton.statevec import (
     ZERO_PROBABILITY,
     Ket,
     ValidationError,
+    _prune,
     apply_one_photon,
     basis_ket,
-    from_array,
     norm,
     normalize,
     phase_equal,
@@ -117,6 +116,11 @@ def bell_ket(kind: BellOutcome, pair) -> Ket:
 #: Bell kets as rows over (HH, HV, VH, VV), in BELL_ORDER.
 _BELL_KETS = np.array([to_array(bell_ket(kind, (1, 5))) for kind in BELL_ORDER])
 
+#: ``<b15| (x) <b26|`` on the partner photons (5, 6), shape (64, 4): rows are
+#: (b15, b26, photon 1, photon 2), so the input photons stay open.
+_BELL_BRAS = _BELL_KETS.conj().reshape(4, 2, 2)
+_BELL_PAIR_BRAS = np.einsum("aip,bjq->abijpq", _BELL_BRAS, _BELL_BRAS).reshape(64, 4)
+
 
 @dataclass(frozen=True)
 class AnalyzerModel:
@@ -135,8 +139,14 @@ LINEAR_ANALYZER = AnalyzerModel(
 #: Hypothetical analyzer resolving all four Bell states.
 IDEAL_ANALYZER = AnalyzerModel("ideal", frozenset(BELL_ORDER))
 
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_GATES = {"Z": _Z}
+_GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+#: Every gate is diagonal, so a (photon, gate) correction is a +-1 mask on
+#: that photon's axis of the kept pair.
+_SIGN_MASKS = {
+    (photon, name): np.expand_dims(gate.diagonal().real, 1 - axis)
+    for axis, photon in enumerate(KEPT_PAIR) for name, gate in _GATES.items()
+}
 
 #: Local corrections mapping each accepted Bell pair onto the
 #: (PsiPlus, PsiPlus) reference channel.  Keys are (outcome on photons
@@ -266,10 +276,11 @@ def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
     and register reading ``r``; shape (4, 4, R, 4, 4).
     """
     n_readings = 2 ** len(aux.j_register)
-    resource = aux.ket.array.reshape(2, 2, 2, 2, n_readings)
-    bra = _BELL_KETS.conj().reshape(4, 2, 2)
-    t = np.einsum("aip,bjq,klpqr->abrklij", bra, bra, resource)
-    return t.reshape(4, 4, n_readings, 4, 4)
+    resource = aux.ket.array.reshape(4, 4, n_readings)  # (kept, partners, r)
+    t = (_BELL_PAIR_BRAS @ resource).reshape(4, 4, 4, 4, n_readings)
+    # Laid out (b15, b26, kept, input, r) like the einsum this replaced, so
+    # ``T @ beta`` takes the same matmul loop and rounds the same.
+    return np.ascontiguousarray(t.transpose(1, 2, 0, 3, 4)).transpose(0, 1, 4, 2, 3)
 
 
 def run_protocol(
@@ -307,44 +318,48 @@ def run_protocol(
         )
 
     residuals = _transfer_tensor(aux) @ two_photon_vector(input_state)
-    weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1)
+    weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
+    pairs = list(itertools.product(BELL_ORDER, repeat=2))
+    fixes, signs = [], np.ones((16, 1, 2, 2))
+    for k, pair in enumerate(pairs):
+        accept = pair in accepted_pairs and set(pair) <= analyzer.distinguishable
+        fixes.append(corrections_for(pair) if accept else None)
+        for correction in fixes[-1] or ():
+            signs[k] *= _SIGN_MASKS[correction]
+    # An accepted pair splits into one unit residual per reading; any other
+    # pair is one joint state over kept and register photons, scaled by its total.
+    accepted = np.array([fix is not None for fix in fixes])[:, None]
+    probs = np.where(accepted, weights, weights.sum(axis=1, keepdims=True))
+    # Rows below ZERO_PROBABILITY carry no state; the floor keeps them finite.
+    scale = np.sqrt(np.maximum(probs, ZERO_PROBABILITY))[..., None, None]
+    units = residuals.reshape(16, -1, 2, 2) * signs / scale
+    split, joint = _prune(units), _prune(np.moveaxis(units, 1, -1))
+
     readings = itertools.product(POLARIZATIONS, repeat=len(aux.j_register))
     readings = ["".join(labels) or None for labels in readings]
     # Readings j >= J weigh exactly zero, but they still get a slot.
     per_outcome = [0.0] * max(family.n_outcomes, len(readings))
     inconclusive_probability = 0.0
     branches = []
-    for a, b15 in enumerate(BELL_ORDER):
-        for b, b26 in enumerate(BELL_ORDER):
-            pair = (b15, b26)
-            if pair in accepted_pairs and {b15, b26} <= analyzer.distinguishable:
-                corrections = corrections_for(pair)
-                kind = "correctable" if corrections else "success"
-                register = aux.kept
-                outcomes = zip(
-                    readings, range(len(readings)), residuals[a, b], weights[a, b]
-                )
+    for k, ((b15, b26), fix) in enumerate(zip(pairs, fixes)):
+        if fix is not None:
+            kind, register = ("correctable" if fix else "success"), aux.kept
+            outcomes = zip(readings, itertools.count(), split[k], weights[k].tolist())
+        else:
+            fix, kind = (), "inconclusive"
+            register = aux.kept + aux.j_register
+            unit = joint[k].reshape((2,) * len(register))
+            outcomes = [(None, None, unit, float(probs[k, 0]))]
+        for reading, j, residual, probability in outcomes:
+            if j is None:
+                inconclusive_probability += probability
             else:
-                corrections, kind = (), "inconclusive"
-                register = aux.kept + aux.j_register
-                outcomes = [(None, None, residuals[a, b].T, weights[a, b].sum())]
-            for reading, j, residual, probability in outcomes:
-                probability = float(probability)
-                if j is None:
-                    inconclusive_probability += probability
-                else:
-                    per_outcome[j] += probability
-                if probability < ZERO_PROBABILITY:
-                    branches.append(
-                        Branch(b15, b26, reading, probability, corrections, "zero")
-                    )
-                    continue
-                ket = from_array(register, residual / math.sqrt(probability))
-                if j is not None:
-                    ket = apply_corrections(pair, ket)
-                branches.append(
-                    Branch(b15, b26, reading, probability, corrections, kind, j, ket)
-                )
+                per_outcome[j] += probability
+            if probability < ZERO_PROBABILITY:
+                branches.append(Branch(b15, b26, reading, probability, fix, "zero"))
+                continue
+            ket = Ket(register, residual)  # a read-only view, already pruned
+            branches.append(Branch(b15, b26, reading, probability, fix, kind, j, ket))
 
     success_probability = sum(per_outcome)
     conditional = [0.0] * family.n_outcomes

@@ -139,16 +139,21 @@ class Ket:
         return f"Ket[{reg}]({terms or '0'})"
 
 
-def _ket(register: tuple[int, ...], amplitudes) -> Ket:
-    """Ket keeping only components with ``|a|^2 >= PRUNE_THRESHOLD``.
+def _prune(amplitudes) -> np.ndarray:
+    """Read-only complex copy keeping only amplitudes with ``|a|^2 >= PRUNE_THRESHOLD``.
 
     The test runs on ``|a|`` against the threshold's square root, so huge
     amplitudes do not overflow; NaN fails it and is dropped.
     """
-    arr = np.asarray(amplitudes, dtype=complex).reshape((2,) * len(register))
+    arr = np.asarray(amplitudes, dtype=complex)
     kept = np.where(np.abs(arr) >= math.sqrt(PRUNE_THRESHOLD), arr, 0j)
     kept.flags.writeable = False
-    return Ket(register, kept)
+    return kept
+
+
+def _ket(register: tuple[int, ...], amplitudes) -> Ket:
+    """Ket of the pruned amplitudes, shaped ``(2,) * len(register)``."""
+    return Ket(register, _prune(amplitudes).reshape((2,) * len(register)))
 
 
 def _check_register(register: Sequence[int]) -> tuple[int, ...]:

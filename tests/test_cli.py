@@ -399,6 +399,26 @@ def test_load_config_near_zero_input_follows_probability_zero_rule():
     assert cfg.input_state.amplitude("HH") == pytest.approx(1.0)
 
 
+def test_basis_orthonormality_is_checked_within_the_config_tol(tmp_path, capsys):
+    # A basis row off by 1e-8 agrees at tol 1e-5 and not at tol 1e-10.
+    basis = np.eye(4).tolist()
+    basis[0][0] = 1 + 1e-8
+    family = {"basis": basis, "assignment": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    config = base_config(family=family, mode="general", tol=1e-5)
+    assert load_config(config).tol == 1e-5
+    assert main(["verify", "--config", write_config(tmp_path, config)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+    config["tol"] = 1e-10
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(config)
+    assert str(excinfo.value) == (
+        "basis rows are not orthonormal: <row0|row0> = 1+0j deviates by 2e-08"
+    )
+    assert main(["run", "--config", write_config(tmp_path, config)]) == 1
+    assert "orthonormal" in capsys.readouterr().err
+
+
 def test_exit_code_validation_failure(tmp_path, capsys):
     bad_basis = {
         "input_state": "|HH>",

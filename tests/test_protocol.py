@@ -29,6 +29,8 @@ from biphoton.protocol import (
     run_protocol,
 )
 from biphoton.statevec import (
+    DEFAULT_TOL,
+    PRUNE_THRESHOLD,
     ValidationError,
     basis_ket,
     inner,
@@ -429,6 +431,37 @@ def test_residual_present_exactly_when_weight_is():
             else:
                 assert row.classification == "zero"
                 assert row.residual is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
+def test_branch_residuals_are_read_only_pruned_unit_states(mode, analyzer):
+    rng = np.random.default_rng([77, MODES.index(mode)])
+    cases = [(parity_family(), random_unit_vector(rng)) for _ in range(6)]
+    if mode == "general":
+        for n_outcomes in (1, 2, 3, 4):
+            family = family_from_assignment(
+                random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+            )
+            cases.append((family, random_unit_vector(rng)))
+        # The odd rows mix HV and VH by 1e-2, so the input's 2e-12 HV part
+        # puts ~2e-14 where the HH part puts nothing: pruning must zero it.
+        c, s = np.sqrt(1 - 1e-4), 1e-2
+        near_parity = [[1, 0, 0, 0], [0, 0, 0, 1], [0, c, s, 0], [0, -s, c, 0]]
+        family = family_from_assignment(near_parity, np.eye(4, dtype=int))
+        cases.append((family, [1, 2e-12, 0, 0]))
+    for family, vec in cases:
+        beta = input_ket(np.asarray(vec) / np.linalg.norm(vec))
+        report = run_protocol(beta, family, mode=mode, analyzer=analyzer)
+        for row in report.branches:
+            if row.residual is None:
+                continue
+            amplitudes = row.residual.array
+            assert amplitudes.shape == (2,) * len(row.residual.register)
+            assert not amplitudes.flags.writeable
+            squared = np.abs(amplitudes) ** 2
+            assert not ((squared > 0) & (squared < PRUNE_THRESHOLD)).any()
+            assert abs(norm(row.residual) - 1.0) <= DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
