@@ -12,14 +12,16 @@ Subcommands:
 ``families``
     Print the parity preset as a config skeleton.
 
-Exit codes: 0 = pass, 1 = validation failure, 2 = parse failure,
+Exit codes: 0 = pass, 1 = validation failure, 2 = parse failure (also a
+config that cannot be read or a ``--out`` report that cannot be written),
 3 = the protocol run disagrees with the oracle.
 
 Input states are given either as four components (numbers or
 ``[re, im]`` pairs, ordered HH, HV, VH, VV) or as a ket expression such
 as ``"isqrt2*|HV> + isqrt2*|VH>"``.  Report emission is deterministic:
-floats are printed with 17 significant digits and all ordering is fixed,
-so identical configs produce byte-identical reports.
+one writer lays out the fixed report skeleton, floats are printed with 17
+significant digits and all ordering is fixed, so identical configs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -202,11 +204,10 @@ def parse_ket(text: str) -> np.ndarray:
             fail("expected a term after the operator", pos)
 
 
-def _fmt(x: float) -> str:
-    value = float(x)
-    if value == 0.0:
-        value = 0.0  # canonicalize -0.0
-    return format(value, ".17g")
+def _number(x) -> str:
+    """A float as reports and ket expressions print it: 17 significant
+    digits, ``-0`` as ``0``."""
+    return "%.17g" % (x + 0.0)  # adding +0.0 turns -0.0 into 0.0, nothing else
 
 
 def format_ket(components) -> str:
@@ -215,9 +216,9 @@ def format_ket(components) -> str:
     for label, amp in from_array(INPUT_PAIR, components).items():
         if amp.imag == 0.0:
             sign = "-" if amp.real < 0 else "+"
-            terms.append((sign, f"{_fmt(abs(amp.real))}*|{label}>"))
+            terms.append((sign, f"{_number(abs(amp.real))}*|{label}>"))
         else:
-            terms.append(("+", f"({_fmt(amp.real)},{_fmt(amp.imag)})*|{label}>"))
+            terms.append(("+", f"({_number(amp.real)},{_number(amp.imag)})*|{label}>"))
     if not terms:
         return "0*|HH>"
     first_sign, first_body = terms[0]
@@ -252,14 +253,19 @@ def _complex_entry(value, what: str) -> complex:
     if isinstance(value, bool):
         raise ValidationError(f"{what}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (
+        parts = (value,)
+    elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise ValidationError(f"{what}: expected a number or a [re, im] pair")
+        parts = value
+    else:
+        raise ValidationError(f"{what}: expected a number or a [re, im] pair")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ValidationError(f"{what}: integer too large for a float") from None
 
 
 def _input_components(value) -> np.ndarray:
@@ -324,10 +330,12 @@ def load_config(data) -> RunConfig:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
 
     analyzer_name = data.get("analyzer", "linear")
-    if analyzer_name not in _ANALYZERS:
+    try:
+        analyzer = _ANALYZERS[analyzer_name]
+    except (KeyError, TypeError):  # TypeError: a list or object is unhashable
         raise ValidationError(
             f"unknown analyzer {analyzer_name!r}, expected 'linear' or 'ideal'"
-        )
+        ) from None
 
     family = _family_from_value(data["family"], tol)
     vec = _input_components(data["input_state"])
@@ -346,7 +354,7 @@ def load_config(data) -> RunConfig:
         input_state=ket,
         family=family,
         mode=mode,
-        analyzer=_ANALYZERS[analyzer_name],
+        analyzer=analyzer,
         tol=tol,
         warnings=tuple(warnings),
     )
@@ -359,9 +367,11 @@ def read_config(path: str) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over Python's digit limit
         raise ParseError(f"config {path!r} is not valid JSON: {exc}") from exc
     return load_config(data)
 
@@ -371,90 +381,69 @@ def read_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _json_scalar(value) -> str | None:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    return None
+def _listing(items, pad: str) -> str:
+    """A JSON list of one-line items: inline when that fits in 100
+    characters, otherwise one item per line, closed at ``pad``."""
+    inline = "[" + ", ".join(items) + "]"
+    if len(inline) <= 100:
+        return inline
+    return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
 
 
-def _render(value, indent: int = 0) -> str:
-    scalar = _json_scalar(value)
-    if scalar is not None:
-        return scalar
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{pad}  {json.dumps(str(key))}: {_render(val, indent + 1)}"
-            for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if not any(isinstance(item, dict) for item in items):
-            inline = "[" + ", ".join(_render(item, 0) for item in items) + "]"
-            if len(inline) <= 100:
-                return inline
-        rendered = [f"{pad}  {_render(item, indent + 1)}" for item in items]
-        return "[\n" + ",\n".join(rendered) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _components(ket: Ket) -> list:
+    """``(labels, re, im)`` texts of the ket's nonzero components."""
+    return [(labels, _number(a.real), _number(a.imag)) for labels, a in ket.items()]
 
 
-def _pair(amp: complex):
-    return [float(amp.real), float(amp.imag)]
+def _object(cells, pad: str) -> str:
+    """Components as a JSON object ``{"HV": [re, im], ...}`` closed at ``pad``."""
+    lines = ",\n".join(f'{pad}  "{labels}": [{re}, {im}]' for labels, re, im in cells)
+    return f"{{\n{lines}\n{pad}}}"
 
 
-def _components_object(ket: Ket) -> dict:
-    return {labels: _pair(amp) for labels, amp in ket.items()}
+def _family_json(family: ProjectorFamily) -> str:
+    """The ``family`` object as a report or config skeleton prints it."""
+    rows = [
+        _listing([f"[{_number(c.real)}, {_number(c.imag)}]" for c in row], "      ")
+        for row in family.basis.states.tolist()
+    ]
+    basis = ",\n".join(f"      {row}" for row in rows)
+    # A 4 x J table of 0/1 always fits on one line.
+    assignment = json.dumps(family.assignment.tolist())
+    return f'{{\n    "basis": [\n{basis}\n    ],\n    "assignment": {assignment}\n  }}'
 
 
-def _branch_object(branch) -> dict:
-    obj = {
-        "bell15": branch.bell15.value,
-        "bell26": branch.bell26.value,
-        "register_result": branch.register_result,
-        "probability": float(branch.probability),
-        "classification": branch.classification,
-        "corrections": [[photon, gate] for photon, gate in branch.corrections],
-    }
-    if branch.residual is not None:
-        obj["residual"] = _components_object(branch.residual)
-    return obj
+def _branch_json(branch, probability: str, cells) -> str:
+    """One element of the report's ``branches`` list."""
+    reading = branch.register_result
+    reading = "null" if reading is None else f'"{reading}"'
+    # At most two corrections, so the list always fits on one line.
+    fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in branch.corrections)
+    if cells is None:
+        residual = ""
+    else:
+        residual = ',\n      "residual": ' + _object(cells, "      ")
+    return (
+        "    {\n"
+        f'      "bell15": "{branch.bell15.value}",\n'
+        f'      "bell26": "{branch.bell26.value}",\n'
+        f'      "register_result": {reading},\n'
+        f'      "probability": {probability},\n'
+        f'      "classification": "{branch.classification}",\n'
+        f'      "corrections": [{fixes}]{residual}\n'
+        "    }"
+    )
 
 
-def report_document(report: ProtocolReport) -> dict:
-    """The report as a JSON-ready document with fixed key order."""
-    return {
-        "mode": report.mode,
-        "analyzer": report.analyzer.name,
-        "input": _components_object(report.input_state),
-        "family": {
-            "basis": [
-                [_pair(complex(c)) for c in row]
-                for row in report.family.basis.states
-            ],
-            "assignment": [
-                [int(x) for x in row] for row in report.family.assignment
-            ],
-        },
-        "branches": [_branch_object(b) for b in report.branches],
-        "totals": {
-            "success_probability": float(report.success_probability),
-            "conditional_j": [float(c) for c in report.conditional_j],
-            "inconclusive_probability": float(report.inconclusive_probability),
-        },
-    }
+def _branch_csv(branch, probability: str, cells) -> str:
+    """One CSV row: components as ``labels:re:im``, corrections as
+    ``photon:gate``, each list joined with ``;``."""
+    fixes = ";".join(f"{photon}:{gate}" for photon, gate in branch.corrections)
+    residual = "" if cells is None else ";".join(map(":".join, cells))
+    return (
+        f"{branch.bell15.value},{branch.bell26.value},{branch.register_result or ''},"
+        f"{probability},{branch.classification},{fixes},{residual}"
+    )
 
 
 _CSV_HEADER = (
@@ -463,40 +452,35 @@ _CSV_HEADER = (
 )
 
 
-def _csv_rows(report: ProtocolReport) -> str:
-    lines = [_CSV_HEADER]
-    for branch in report.branches:
-        corrections = ";".join(f"{p}:{g}" for p, g in branch.corrections)
-        if branch.residual is not None:
-            residual = ";".join(
-                f"{labels}:{_fmt(amp.real)}:{_fmt(amp.imag)}"
-                for labels, amp in branch.residual.items()
-            )
-        else:
-            residual = ""
-        lines.append(
-            ",".join(
-                [
-                    branch.bell15.value,
-                    branch.bell26.value,
-                    branch.register_result or "",
-                    _fmt(branch.probability),
-                    branch.classification,
-                    corrections,
-                    residual,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def emit_report(report: ProtocolReport, fmt: str = "json") -> str:
-    """Serialize a report deterministically as JSON or CSV."""
-    if fmt == "json":
-        return _render(report_document(report)) + "\n"
+    """Serialize a report deterministically as JSON or CSV.
+
+    Each branch's numbers are formatted once, into cells both formats use.
+    """
+    if fmt not in ("json", "csv"):
+        raise ValidationError(f"unknown report format {fmt!r}, expected json or csv")
+    rows = []
+    for branch in report.branches:
+        cells = None if branch.residual is None else _components(branch.residual)
+        rows.append((branch, _number(branch.probability), cells))
     if fmt == "csv":
-        return _csv_rows(report)
-    raise ValidationError(f"unknown report format {fmt!r}, expected json or csv")
+        return "\n".join([_CSV_HEADER, *(_branch_csv(*row) for row in rows)]) + "\n"
+    branches = ",\n".join(_branch_json(*row) for row in rows)
+    conditional = _listing([_number(c) for c in report.conditional_j], "    ")
+    return (
+        "{\n"
+        f'  "mode": {json.dumps(report.mode)},\n'
+        f'  "analyzer": {json.dumps(report.analyzer.name)},\n'
+        f'  "input": {_object(_components(report.input_state), "  ")},\n'
+        f'  "family": {_family_json(report.family)},\n'
+        f'  "branches": [\n{branches}\n  ],\n'
+        '  "totals": {\n'
+        f'    "success_probability": {_number(report.success_probability)},\n'
+        f'    "conditional_j": {conditional},\n'
+        f'    "inconclusive_probability": {_number(report.inconclusive_probability)}\n'
+        "  }\n"
+        "}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +504,12 @@ def _cmd_run(args) -> int:
     report, verdict = _execute(cfg)
     text = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report {args.out!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if not verdict.passed:
@@ -544,20 +532,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    fam = parity_family()
-    doc = {
-        "input_state": "isqrt2*|HH> + isqrt2*|VV>",
-        "family": {
-            "basis": [
-                [_pair(complex(c)) for c in row] for row in fam.basis.states
-            ],
-            "assignment": [[int(x) for x in row] for row in fam.assignment],
-        },
-        "mode": "parity5",
-        "analyzer": "linear",
-        "tol": DEFAULT_TOL,
-    }
-    sys.stdout.write(_render(doc) + "\n")
+    sys.stdout.write(
+        "{\n"
+        '  "input_state": "isqrt2*|HH> + isqrt2*|VV>",\n'
+        f'  "family": {_family_json(parity_family())},\n'
+        '  "mode": "parity5",\n'
+        '  "analyzer": "linear",\n'
+        f'  "tol": {_number(DEFAULT_TOL)}\n'
+        "}\n"
+    )
     return 0
 
 

@@ -91,7 +91,10 @@ def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
 
 
 def _validate_assignment(table) -> np.ndarray:
-    arr = np.array(table)
+    try:
+        arr = np.array(table)
+    except ValueError:  # ragged rows
+        raise ValidationError("assignment rows must all have the same length") from None
     if arr.ndim != 2 or arr.shape[0] != 4:
         raise ValidationError(
             f"assignment must have one row per basis state (4), got shape {arr.shape}"

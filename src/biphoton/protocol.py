@@ -252,9 +252,13 @@ def _check_tol(tol) -> float:
     """A comparison tolerance must be a real number in (0, 1)."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
         raise ValidationError("tol must be a number")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {float(tol):g}")
-    return float(tol)
+    try:
+        value = float(tol)
+    except OverflowError:
+        raise ValidationError("tol must lie in (0, 1), got a huge integer") from None
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {value:g}")
+    return value
 
 
 def _validate_input(input_state: Ket, tol: float) -> None:

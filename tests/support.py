@@ -6,7 +6,12 @@ outer products and contract them with ``tensordot``, never calling the
 package's state algebra (``src/`` does not import this module).
 Conventions match the package only at the level of published definitions
 (component order HH, HV, VH, VV; photon axes in register order).
+
+The last section keeps the generic JSON tree renderer the CLI once used,
+as the reference for the report layout the CLI's own writer must match.
 """
+
+import json
 
 import numpy as np
 
@@ -132,3 +137,55 @@ def dense_bell_pair_residual(total8_or_7, bell15, bell26, n_photons):
     after15 = contract(BELL_VECTORS[bell15], (0, 4), total8_or_7)
     # remaining axes now hold photons (2, 3, 4, 6, 7, 8)[:n_photons-2]
     return contract(BELL_VECTORS[bell26], (0, 3), after15)
+
+
+# ---------------------------------------------------------------------------
+# reference report layout
+# ---------------------------------------------------------------------------
+
+
+def _fmt(x: float) -> str:
+    value = float(x)
+    if value == 0.0:
+        value = 0.0  # canonicalize -0.0
+    return format(value, ".17g")
+
+
+def _json_scalar(value) -> str | None:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    return None
+
+
+def _render(value, indent: int = 0) -> str:
+    scalar = _json_scalar(value)
+    if scalar is not None:
+        return scalar
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{pad}  {json.dumps(str(key))}: {_render(val, indent + 1)}"
+            for key, val in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if not any(isinstance(item, dict) for item in items):
+            inline = "[" + ", ".join(_render(item, 0) for item in items) + "]"
+            if len(inline) <= 100:
+                return inline
+        rendered = [f"{pad}  {_render(item, indent + 1)}" for item in items]
+        return "[\n" + ",\n".join(rendered) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -440,6 +440,69 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+HUGE = 10**400  # an integer JSON literal no float can hold
+UNIT_BASIS = [[[1, 0] if k == i else [0, 0] for k in range(4)] for i in range(4)]
+
+
+def config_bytes(**overrides):
+    return json.dumps(base_config(**overrides)).encode()
+
+
+@pytest.mark.parametrize(
+    "raw, code",
+    [
+        pytest.param(config_bytes(input_state=[HUGE, 0, 0, 0]), 1, id="huge-input"),
+        pytest.param(
+            config_bytes(
+                mode="general",
+                family={"basis": [[[HUGE, 0]] + UNIT_BASIS[0][1:]] + UNIT_BASIS[1:],
+                        "assignment": [[1]] * 4},
+            ),
+            1,
+            id="huge-basis-entry",
+        ),
+        pytest.param(config_bytes(tol=HUGE), 1, id="huge-tol"),
+        pytest.param(config_bytes(analyzer=["x"]), 1, id="list-analyzer"),
+        pytest.param(
+            config_bytes(
+                mode="general",
+                family={"basis": UNIT_BASIS, "assignment": [[1], [1, 0], [1], [1]]},
+            ),
+            1,
+            id="ragged-assignment",
+        ),
+        pytest.param(
+            b'{"input_state": [' + b"1" * 4301 + b', 0, 0, 0], "family": "parity", '
+            b'"mode": "parity5"}',
+            2,
+            id="integer-over-digit-limit",
+        ),
+        pytest.param(
+            b'{"input_state": "|HH>", "family": "parity", "mode": "parity5", '
+            b'"analyzer": "\xe9"}',
+            2,
+            id="not-utf8",
+        ),
+    ],
+)
+def test_malformed_config_exits_with_one_error_line(tmp_path, capsys, raw, code):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert main(["verify", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_run_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report {str(out)!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_ket_syntax_failure(tmp_path, capsys):
     path = write_config(tmp_path, base_config(input_state="|HH> + |XH>"))
     assert main(["run", "--config", path]) == 2

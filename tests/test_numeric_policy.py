@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import biphoton
+import biphoton.cli as cli
 import biphoton.protocol as protocol
 import biphoton.statevec as statevec
 
@@ -72,3 +73,19 @@ def test_zero_probability_is_defined_once_and_still_importable():
 def test_retired_thresholds_are_gone():
     assert not hasattr(statevec, "ZERO_NORM")
     assert not hasattr(protocol, "_PARITY_PROJECTORS")
+
+
+def test_one_float_format_rule():
+    # Every number a report or ket expression prints goes through one helper.
+    counts = {
+        path.name: path.read_text(encoding="utf-8").count(".17g")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    helper = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_number"
+    )
+    assert ".17g" in ast.get_source_segment(source, helper)
+    assert cli._number(-0.0) == "0"
