@@ -21,6 +21,7 @@ a filter.  Photon roles are hard-wired to the fixed labeling: input
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,11 @@ from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
     ValidationError,
+    _prune,
     basis_ket,
+    complex_product,
     from_array,
     superpose,
-    tensor,
 )
 
 __all__ = [
@@ -97,38 +99,33 @@ def encode_j_one_photon(j: int) -> Ket:
 
 def build_general_aux(family: ProjectorFamily) -> AuxState:
     """Six-photon resource implementing an arbitrary projector family."""
-    # Row i adds |a^i>_34 |a^i~>_56 to column j, the register reading |j>_78.
-    amplitudes = np.zeros((16, 4), dtype=complex)
-    for i, j in enumerate(family.assignment.argmax(axis=1)):
-        kept = from_array(KEPT_PAIR, family.basis.states[i])
-        partner = conjugate_partner(family.basis, i)
-        amplitudes[:, j] += tensor(kept, partner).array.reshape(16)
+    # Row i adds |a^i>_34 |a^i~>_56 |j>_78: its partner sits in column j.
+    kept = _prune(family.basis.states)
+    columns = np.zeros((4, 4, 4), dtype=complex)  # (row, partner pair, reading)
+    columns[np.arange(4), :, family.assignment.argmax(axis=1)] = [
+        conjugate_partner(family.basis, i).array.reshape(4) for i in range(4)
+    ]
+    amplitudes = complex_product(
+        kept.T[:, None, None, :], columns.transpose(1, 2, 0), contract=True
+    )
     ket = from_array(KEPT_PAIR + PARTNER_PAIR + J_REGISTER_TWO, 0.5 * amplitudes)
     return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, J_REGISTER_TWO)
 
 
+def _resource(j_register: tuple[int, ...], amplitude: float, labels) -> AuxState:
+    """Resource with ``amplitude`` on each basis component in ``labels``."""
+    register = KEPT_PAIR + PARTNER_PAIR + j_register
+    ket = superpose([(amplitude, basis_ket(register, lab)) for lab in labels])
+    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, j_register)
+
+
+@functools.cache
 def build_parity_aux5() -> AuxState:
-    """Five-photon parity resource with a one-photon outcome register."""
-    register = KEPT_PAIR + PARTNER_PAIR + J_REGISTER_ONE
-    ket = superpose(
-        [
-            (0.5, basis_ket(register, "HHVVH")),
-            (0.5, basis_ket(register, "VVHHH")),
-            (0.5, basis_ket(register, "HVVHV")),
-            (0.5, basis_ket(register, "VHHVV")),
-        ]
-    )
-    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, J_REGISTER_ONE)
+    """Five-photon parity resource, one-photon outcome register; built once."""
+    return _resource(J_REGISTER_ONE, 0.5, ("HHVVH", "VVHHH", "HVVHV", "VHHVV"))
 
 
+@functools.cache
 def build_parity_aux4() -> AuxState:
-    """Four-photon resource keeping only the even-parity branch."""
-    register = KEPT_PAIR + PARTNER_PAIR
-    amp = 2.0 ** -0.5
-    ket = superpose(
-        [
-            (amp, basis_ket(register, "HHVV")),
-            (amp, basis_ket(register, "VVHH")),
-        ]
-    )
-    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, ())
+    """Four-photon resource keeping only the even-parity branch; built once."""
+    return _resource((), 2.0 ** -0.5, ("HHVV", "VVHH"))

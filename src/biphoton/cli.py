@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -341,23 +342,22 @@ def load_config(data) -> RunConfig:
     vec = _input_components(data["input_state"])
     if not np.isfinite(vec).all():
         raise ValidationError("input_state has non-finite components")
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    scale = 1.0
+    if math.isinf(norm):  # finite components whose squares overflow
+        scale = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
     if norm * norm < ZERO_PROBABILITY:
         raise ValidationError("input_state has (near-)zero norm")
     warnings = []
-    if abs(norm - 1.0) > tol:
+    if abs(scale * norm - 1.0) > tol:
         warnings.append(
-            f"input state norm {norm:.12g} differs from 1; normalizing"
+            f"input state norm {scale * norm:.12g} differs from 1; normalizing"
         )
     ket = ket_from_vector(INPUT_PAIR, vec / norm)
-    return RunConfig(
-        input_state=ket,
-        family=family,
-        mode=mode,
-        analyzer=analyzer,
-        tol=tol,
-        warnings=tuple(warnings),
-    )
+    return RunConfig(ket, family, mode, analyzer, tol, tuple(warnings))
 
 
 def read_config(path: str) -> RunConfig:

@@ -16,8 +16,9 @@ the kept photons:
 PhiPlus/PhiMinus outcomes would need polarization flips, which neither
 the linear-optics analyzer can distinguish nor a phase correction can
 undo, so they are reported as inconclusive.  ``run_protocol`` reads every
-residual off one transfer tensor as ``T[b15, b26, r] @ beta``, corrected by
-sign masks, so the reported probabilities are exhaustive and sum to one;
+residual off one transfer tensor, ``T[b15, b26, r]`` contracted with
+``beta`` by ``statevec.complex_product`` and corrected by sign masks, so
+the reported probabilities are exhaustive and sum to one;
 ``oracle_report`` computes the target measurement statistics directly
 from the projectors and ``compare_reports`` checks the two against each
 other.
@@ -44,11 +45,11 @@ from biphoton.statevec import (
     _prune,
     apply_one_photon,
     basis_ket,
+    complex_product,
     norm,
     normalize,
     phase_equal,
     superpose,
-    to_array,
 )
 
 __all__ = [
@@ -113,13 +114,10 @@ def bell_ket(kind: BellOutcome, pair) -> Ket:
     )
 
 
-#: Bell kets as rows over (HH, HV, VH, VV), in BELL_ORDER.
-_BELL_KETS = np.array([to_array(bell_ket(kind, (1, 5))) for kind in BELL_ORDER])
-
 #: ``<b15| (x) <b26|`` on the partner photons (5, 6), shape (64, 4): rows are
-#: (b15, b26, photon 1, photon 2), so the input photons stay open.
-_BELL_BRAS = _BELL_KETS.conj().reshape(4, 2, 2)
-_BELL_PAIR_BRAS = np.einsum("aip,bjq->abijpq", _BELL_BRAS, _BELL_BRAS).reshape(64, 4)
+#: (photon 1, photon 2, b15, b26), so the input photons stay open.
+_BELL_BRAS = np.array([bell_ket(kind, (1, 5)).array.conj() for kind in BELL_ORDER])
+_BELL_PAIR_BRAS = np.einsum("aip,bjq->ijabpq", _BELL_BRAS, _BELL_BRAS).reshape(64, 4)
 
 
 @dataclass(frozen=True)
@@ -275,16 +273,14 @@ def _validate_input(input_state: Ket, tol: float) -> None:
 
 
 def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
-    """``T[b15, b26, r] @ beta`` is the unnormalized kept-pair residual of
-    Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6) (BELL_ORDER indices)
-    and register reading ``r``; shape (4, 4, R, 4, 4).
+    """``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized
+    kept-pair residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6)
+    (BELL_ORDER indices) and register reading ``r``; shape (4, 4, R, 4, 4).
     """
-    n_readings = 2 ** len(aux.j_register)
-    resource = aux.ket.array.reshape(4, 4, n_readings)  # (kept, partners, r)
-    t = (_BELL_PAIR_BRAS @ resource).reshape(4, 4, 4, 4, n_readings)
-    # Laid out (b15, b26, kept, input, r) like the einsum this replaced, so
-    # ``T @ beta`` takes the same matmul loop and rounds the same.
-    return np.ascontiguousarray(t.transpose(1, 2, 0, 3, 4)).transpose(0, 1, 4, 2, 3)
+    resource = aux.ket.array.reshape(4, 4, -1)  # (kept, partners, r)
+    # Each bra row has one nonzero entry: every element is one rounded product.
+    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
+    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
 
 
 def run_protocol(
@@ -308,20 +304,16 @@ def run_protocol(
     if mode == "general":
         accepted_pairs = {(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS)}
         aux = auxprep.build_general_aux(family)
+    elif not _is_parity(family, tol):
+        raise ValidationError(f"mode {mode!r} requires the parity projector family")
     else:
-        if not _is_parity(family, tol):
-            raise ValidationError(
-                f"mode {mode!r} requires the parity projector family"
-            )
         psi = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
         accepted_pairs = {(a, b) for a in psi for b in psi}
-        aux = (
-            auxprep.build_parity_aux5()
-            if mode == "parity5"
-            else auxprep.build_parity_aux4()
-        )
+        parity5 = mode == "parity5"
+        aux = auxprep.build_parity_aux5() if parity5 else auxprep.build_parity_aux4()
 
-    residuals = _transfer_tensor(aux) @ two_photon_vector(input_state)
+    beta = two_photon_vector(input_state)
+    residuals = complex_product(_transfer_tensor(aux), beta, contract=True)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
     pairs = list(itertools.product(BELL_ORDER, repeat=2))
     fixes, signs = [], np.ones((16, 1, 2, 2))

@@ -18,7 +18,11 @@ Numeric policy, followed by every module:
   (branch residual, oracle state, conditional distribution), and a config
   input with ``norm**2`` below it is rejected; totals still add it;
 * agreement: two values agree when no component differs by more than the
-  caller's ``tol``, or by ``DEFAULT_TOL`` when there is none.
+  caller's ``tol``, or by ``DEFAULT_TOL`` when there is none;
+* rounding: complex products that reach a report (``tensor``, the general
+  resource, the residual contraction) go through ``complex_product``: real
+  arithmetic, terms added in index order, so no bit depends on layout or
+  batch shape; the oracle and the reference helpers use numpy's own.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "Ket",
     "basis_ket",
     "superpose",
+    "complex_product",
     "tensor",
     "inner",
     "partial_bra",
@@ -198,25 +203,28 @@ def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
     return _ket(register, sum(coeff * ket.array for coeff, ket in terms))
 
 
-#: Takes the real products (xr*yr, xr*yi, xi*yr, xi*yi) of two complex
-#: numbers to (re, im) of x*y.  Its entries are 0 and +-1, so each part is
-#: rounded once, exactly as the real expressions would be.
-_COMPLEX_PRODUCT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
+def complex_product(x, y, contract: bool = False) -> np.ndarray:
+    """``x * y`` of broadcast complex arrays as ``xr*yr - xi*yi`` and ``xr*yi +
+    xi*yr``, each real product rounded once (so ``a * conj(a)`` is exactly
+    real); with ``contract``, summed over the last axis in index order."""
+    re = x.real * y.real - x.imag * y.imag
+    im = x.real * y.imag + x.imag * y.real
+    if contract:  # part.T[k] is the transpose of part[..., k]
+        re, im = (functools.reduce(np.add, part.T).T for part in (re, im))
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
     """Tensor product on the concatenated register ``a.register + b.register``.
 
-    The registers must be disjoint.  Products are formed in real
-    arithmetic, so ``a * conj(a)`` has an imaginary part of exactly zero
-    (numpy's fused complex multiply leaves a rounding residue there).
+    The registers must be disjoint; products follow ``complex_product``.
     """
     overlap = set(a.register) & set(b.register)
     if overlap:
         raise ValidationError(f"tensor registers share photons {sorted(overlap)}")
-    x = a.array.reshape(-1).view(float).reshape(-1, 1, 2, 1)
-    y = b.array.reshape(-1).view(float).reshape(1, -1, 1, 2)
-    product = ((x * y).reshape(-1, 4) @ _COMPLEX_PRODUCT).view(complex)
+    product = complex_product(a.array.reshape(-1, 1), b.array.reshape(1, -1))
     return _ket(a.register + b.register, product)
 
 

@@ -19,10 +19,12 @@ from biphoton.measurement import (
 )
 from biphoton.statevec import (
     ValidationError,
+    basis_ket,
     inner,
     norm,
     partial_bra,
     phase_equal,
+    superpose,
 )
 
 from support import random_orthonormal_basis, random_assignment
@@ -155,6 +157,31 @@ def test_general_aux_conjugate_pair_entries_are_exactly_real():
             for k2 in (0, 1)
         )
     assert residues == 0
+
+
+def test_general_aux_prunes_the_summed_resource_once():
+    """Rows 0 and 1 share an outcome, so the amplitude of |HV>_34 |VH>_56 |HH>_78
+    is (cos^2 + sin^2) / 2 = 1/2; pruning each row's product first would drop
+    the 1e-14 term sin^2 and leave 0.499999999999995."""
+    c, s = np.cos(1e-7), np.sin(1e-7)
+    basis = [[c, s, 0, 0], [-s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    fam = family_from_assignment(basis, [[1, 0], [1, 0], [0, 1], [0, 1]])
+    assert build_general_aux(fam).ket.amplitude("HVVHHH") == 0.5
+
+
+@pytest.mark.parametrize(
+    "build, register, amplitude, labels",
+    [
+        (build_parity_aux5, (3, 4, 5, 6, 7), 0.5, ["HHVVH", "VVHHH", "HVVHV", "VHHVV"]),
+        (build_parity_aux4, (3, 4, 5, 6), 2.0 ** -0.5, ["HHVV", "VVHH"]),
+    ],
+)
+def test_parity_resources_are_frozen_constants(build, register, amplitude, labels):
+    aux = build()
+    assert build() is aux
+    assert not aux.ket.array.flags.writeable
+    reference = superpose([(amplitude, basis_ket(register, lab)) for lab in labels])
+    assert aux.ket == reference
 
 
 def test_parity_aux5_components():

@@ -19,7 +19,7 @@ from biphoton.cli import (
     parse_ket,
     read_config,
 )
-from biphoton.measurement import parity_family
+from biphoton.measurement import parity_family, two_photon_vector
 from biphoton.protocol import (
     BellOutcome,
     compare_reports,
@@ -370,6 +370,28 @@ def test_run_command_normalization_warning_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "normaliz" in captured.err
     json.loads(captured.out)  # stdout stays clean JSON
+
+
+@pytest.mark.parametrize(
+    "components, shown",
+    [([1e308, 1e308, 0, 0], "1.41421356237e+308"), ([1.7e308] * 4, "inf")],
+)
+def test_verify_normalizes_input_whose_squared_norm_overflows(
+    tmp_path, capsys, components, shown
+):
+    # Finite components whose squares overflow: no RuntimeWarning (tests
+    # treat warnings as errors), one warning line, and a passing run.
+    path = write_config(tmp_path, base_config(input_state=components))
+    assert main(["verify", "--config", path]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"warning: input state norm {shown} differs from 1; normalizing"
+    ]
+    cfg = load_config(base_config(input_state=components))
+    unit = np.asarray(components) / 1e308
+    np.testing.assert_allclose(
+        two_photon_vector(cfg.input_state), unit / np.linalg.norm(unit), rtol=1e-15
+    )
 
 
 def test_verify_command_passes(tmp_path, capsys):

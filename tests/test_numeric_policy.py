@@ -9,6 +9,7 @@ import ast
 from pathlib import Path
 
 import biphoton
+import biphoton.auxprep as auxprep
 import biphoton.cli as cli
 import biphoton.protocol as protocol
 import biphoton.statevec as statevec
@@ -89,3 +90,20 @@ def test_one_float_format_rule():
     )
     assert ".17g" in ast.get_source_segment(source, helper)
     assert cli._number(-0.0) == "0"
+
+
+def test_one_complex_product_rule():
+    # Every complex product is rounded one way, by statevec.complex_product.
+    owners = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "complex_product"
+    ]
+    assert owners == [POLICY_MODULE]
+    helper = statevec.complex_product
+    assert auxprep.complex_product is helper and protocol.complex_product is helper
+    source = (PACKAGE / "protocol.py").read_text(encoding="utf-8")
+    assert "_COMPLEX_PRODUCT" not in source
+    assert "ascontiguousarray" not in source
+    assert not hasattr(statevec, "_COMPLEX_PRODUCT")

@@ -33,6 +33,7 @@ from biphoton.statevec import (
     PRUNE_THRESHOLD,
     ValidationError,
     basis_ket,
+    complex_product,
     inner,
     norm,
     normalize,
@@ -417,6 +418,45 @@ def test_transfer_tensor_conserves_probability_for_every_input():
         t = protocol._transfer_tensor(aux).reshape(-1, 4, 4)
         gram = np.einsum("nki,nkj->ij", t.conj(), t)
         np.testing.assert_allclose(gram, np.eye(4), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
+def test_contraction_bytes_ignore_layout_and_batch_shape(mode, analyzer):
+    # One rounding path: the residuals of input k are the same bits whether
+    # T is C- or F-ordered and whether k runs alone or as row k of a batch,
+    # and run_protocol reads its probabilities off exactly those bits.
+    rng = np.random.default_rng([31, MODES.index(mode)])
+    family = parity_family()
+    if mode == "general":
+        family = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, 4)
+        )
+    aux = {
+        "general": lambda: auxprep.build_general_aux(family),
+        "parity5": auxprep.build_parity_aux5,
+        "parity4": auxprep.build_parity_aux4,
+    }[mode]()
+    t = protocol._transfer_tensor(aux)
+    inputs = np.array([random_unit_vector(rng) for _ in range(64)])
+    batch = complex_product(t[None], inputs[:, None, None, None, None], contract=True)
+    readings = {"general": BASIS_LABELS, "parity5": "HV", "parity4": ()}[mode]
+    pairs = [(a, b) for a in BELL_ORDER for b in BELL_ORDER]
+    for k, vec in enumerate(inputs):
+        alone = complex_product(t, vec, contract=True)
+        assert np.array_equal(batch[k], alone)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(complex_product(layout(t), vec, contract=True), alone)
+        weights = (alone.real**2 + alone.imag**2).sum(axis=-1).reshape(16, -1)
+        pooled = weights.sum(axis=1)
+        report = run_protocol(input_ket(vec), family, mode, analyzer)
+        for branch in report.branches:
+            p = pairs.index((branch.bell15, branch.bell26))
+            if branch.register_result is None:
+                assert branch.probability == pooled[p]
+            else:
+                r = readings.index(branch.register_result)
+                assert branch.probability == weights[p, r]
 
 
 def test_residual_present_exactly_when_weight_is():
