@@ -30,6 +30,7 @@ from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
     ValidationError,
+    _ket,
     _prune,
     basis_ket,
     complex_product,
@@ -56,11 +57,6 @@ PARTNER_PAIR = (5, 6)
 J_REGISTER_TWO = (7, 8)
 J_REGISTER_ONE = (7,)
 
-#: Component index map of the polarization flip H<->V on both photons:
-#: HH <-> VV and HV <-> VH in the fixed (HH, HV, VH, VV) order.
-_FLIP = [3, 2, 1, 0]
-
-
 @dataclass(frozen=True)
 class AuxState:
     """An auxiliary resource with its photon roles spelled out."""
@@ -80,7 +76,10 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> K
     """
     if not 0 <= i < 4:
         raise ValidationError(f"basis row index {i} out of range 0..3")
-    return from_array(register, basis.states[i].conj()[_FLIP])
+    partner = basis.states[i, ::-1].conj()  # the flip reverses (HH, HV, VH, VV)
+    if register is PARTNER_PAIR and isinstance(basis, TwoPhotonBasis):
+        return _ket(register, partner)  # a TwoPhotonBasis is finite by construction
+    return from_array(register, partner)
 
 
 def encode_j_two_photon(j: int) -> Ket:

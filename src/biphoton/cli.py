@@ -31,7 +31,9 @@ import json
 import math
 import re
 import sys
+import weakref
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from biphoton.protocol import (
     AnalyzerModel,
     ProtocolReport,
     _check_tol,
+    _classification,
     compare_reports,
     oracle_report,
     run_protocol,
@@ -61,6 +64,7 @@ from biphoton.statevec import (
     Ket,
     DegenerateStateError,
     ValidationError,
+    _labels,
     from_array,
 )
 
@@ -205,10 +209,13 @@ def parse_ket(text: str) -> np.ndarray:
             fail("expected a term after the operator", pos)
 
 
-def _number(x) -> str:
-    """A float as reports and ket expressions print it: 17 significant
-    digits, ``-0`` as ``0``."""
-    return "%.17g" % (x + 0.0)  # adding +0.0 turns -0.0 into 0.0, nothing else
+def _number(x):
+    """Floats as reports and ket expressions print them: 17 significant
+    digits, ``-0`` as ``0``.  A float gives one text; an array gives the
+    texts of its values in C order, formatted in one call."""
+    flat = np.ravel(x) + 0.0  # adding +0.0 turns -0.0 into 0.0, nothing else
+    texts = ("%.17g " * flat.size % tuple(flat.tolist())).split()
+    return texts if np.ndim(x) else texts[0]
 
 
 def format_ket(components) -> str:
@@ -390,9 +397,11 @@ def _listing(items, pad: str) -> str:
     return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
 
 
-def _components(ket: Ket) -> list:
-    """``(labels, re, im)`` texts of the ket's nonzero components."""
-    return [(labels, _number(a.real), _number(a.imag)) for labels, a in ket.items()]
+def _cells(state: np.ndarray, parts) -> list:
+    """``(labels, re, im)`` texts of the state's nonzero amplitudes, the number
+    texts taken in turn from ``parts``."""
+    shown = compress(_labels(state.ndim), state.ravel().tolist())
+    return list(zip(shown, parts, parts))
 
 
 def _object(cells, pad: str) -> str:
@@ -403,46 +412,70 @@ def _object(cells, pad: str) -> str:
 
 def _family_json(family: ProjectorFamily) -> str:
     """The ``family`` object as a report or config skeleton prints it."""
-    rows = [
-        _listing([f"[{_number(c.real)}, {_number(c.imag)}]" for c in row], "      ")
-        for row in family.basis.states.tolist()
-    ]
+    states = family.basis.states
+    texts = _number(np.stack([states.real, states.imag], axis=-1))
+    entries = [f"[{re}, {im}]" for re, im in zip(texts[0::2], texts[1::2])]
+    rows = [_listing(entries[i : i + 4], "      ") for i in range(0, 16, 4)]
     basis = ",\n".join(f"      {row}" for row in rows)
     # A 4 x J table of 0/1 always fits on one line.
     assignment = json.dumps(family.assignment.tolist())
     return f'{{\n    "basis": [\n{basis}\n    ],\n    "assignment": {assignment}\n  }}'
 
 
-def _branch_json(branch, probability: str, cells) -> str:
+#: Each report's branch texts, kept while the report lives.
+_TEXTS = weakref.WeakKeyDictionary()
+
+
+def _branch_texts(report: ProtocolReport) -> list:
+    """Per branch: ``(bell15, bell26, reading, probability, classification,
+    corrections, cells)``.  The table's numbers go through one ``_number``
+    call per report, and both writers use the texts."""
+    if report in _TEXTS:
+        return _TEXTS[report]
+    rows = list(report._rows())
+    states = [row[-1].ravel() for row in rows if row[-1] is not None]
+    amplitudes = np.concatenate(states)
+    numbers = _number(np.concatenate(
+        [[row[3] for row in rows], amplitudes[amplitudes != 0].view(float)]
+    ))
+    parts = iter(numbers[len(rows) :])  # re, im of each shown component
+    texts = _TEXTS[report] = [
+        (b15.value, b26.value, reading, p, _classification(kind, j), fixes,
+         None if residual is None else _cells(residual, parts))
+        for (b15, b26, reading, _, fixes, kind, j, residual), p in zip(rows, numbers)
+    ]
+    return texts
+
+
+def _branch_json(bell15, bell26, reading, probability, classification, fixes, cells):
     """One element of the report's ``branches`` list."""
-    reading = branch.register_result
     reading = "null" if reading is None else f'"{reading}"'
     # At most two corrections, so the list always fits on one line.
-    fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in branch.corrections)
+    fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in fixes)
     if cells is None:
         residual = ""
     else:
         residual = ',\n      "residual": ' + _object(cells, "      ")
     return (
         "    {\n"
-        f'      "bell15": "{branch.bell15.value}",\n'
-        f'      "bell26": "{branch.bell26.value}",\n'
+        f'      "bell15": "{bell15}",\n'
+        f'      "bell26": "{bell26}",\n'
         f'      "register_result": {reading},\n'
         f'      "probability": {probability},\n'
-        f'      "classification": "{branch.classification}",\n'
+        f'      "classification": "{classification}",\n'
         f'      "corrections": [{fixes}]{residual}\n'
         "    }"
     )
 
 
-def _branch_csv(branch, probability: str, cells) -> str:
+def _branch_csv(bell15, bell26, reading, probability, classification, fixes, cells):
     """One CSV row: components as ``labels:re:im``, corrections as
     ``photon:gate``, each list joined with ``;``."""
-    fixes = ";".join(f"{photon}:{gate}" for photon, gate in branch.corrections)
+    fixes = ";".join(f"{photon}:{gate}" for photon, gate in fixes)
     residual = "" if cells is None else ";".join(map(":".join, cells))
     return (
-        f"{branch.bell15.value},{branch.bell26.value},{branch.register_result or ''},"
-        f"{probability},{branch.classification},{fixes},{residual}"
+        f"{bell15},{bell26},{reading or ''},"
+        f"{probability},{classification},{fixes},{residual}"
     )
 
 
@@ -455,23 +488,22 @@ _CSV_HEADER = (
 def emit_report(report: ProtocolReport, fmt: str = "json") -> str:
     """Serialize a report deterministically as JSON or CSV.
 
-    Each branch's numbers are formatted once, into cells both formats use.
+    The table's numbers are formatted once per report, into texts both use.
     """
     if fmt not in ("json", "csv"):
         raise ValidationError(f"unknown report format {fmt!r}, expected json or csv")
-    rows = []
-    for branch in report.branches:
-        cells = None if branch.residual is None else _components(branch.residual)
-        rows.append((branch, _number(branch.probability), cells))
+    rows = _branch_texts(report)
     if fmt == "csv":
         return "\n".join([_CSV_HEADER, *(_branch_csv(*row) for row in rows)]) + "\n"
     branches = ",\n".join(_branch_json(*row) for row in rows)
-    conditional = _listing([_number(c) for c in report.conditional_j], "    ")
+    ket = report.input_state.array
+    parts = iter(_number(ket[ket != 0].view(float)))
+    conditional = _listing(_number(report.conditional_j), "    ")
     return (
         "{\n"
         f'  "mode": {json.dumps(report.mode)},\n'
         f'  "analyzer": {json.dumps(report.analyzer.name)},\n'
-        f'  "input": {_object(_components(report.input_state), "  ")},\n'
+        f'  "input": {_object(_cells(ket, parts), "  ")},\n'
         f'  "family": {_family_json(report.family)},\n'
         f'  "branches": [\n{branches}\n  ],\n'
         '  "totals": {\n'

@@ -23,6 +23,7 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     Ket,
     ValidationError,
+    complex_product,
     from_array,
     norm,
     to_array,
@@ -58,6 +59,14 @@ class TwoPhotonBasis:
 
     states: np.ndarray  # (4, 4) complex, row i is |a^i> over BASIS_LABELS
 
+    def __post_init__(self):  # a read-only copy; validate_basis checks orthonormality
+        arr = _frozen(np.array(self.states, dtype=complex))
+        if arr.shape != (4, 4):
+            raise ValidationError(f"basis must be 4x4, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("basis contains non-finite entries")
+        object.__setattr__(self, "states", arr)
+
 
 @dataclass(frozen=True)
 class ProjectorFamily:
@@ -74,12 +83,8 @@ class ProjectorFamily:
 
 def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
     """Check shape, finiteness and orthonormality of four basis rows."""
-    arr = np.array(states, dtype=complex)
-    if arr.shape != (4, 4):
-        raise ValidationError(f"basis must be 4x4, got shape {arr.shape}")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValidationError("basis contains non-finite entries")
-    gram = arr @ arr.conj().T
+    basis = TwoPhotonBasis(states)
+    gram = basis.states @ basis.states.conj().T
     dev = np.abs(gram - np.eye(4))
     if dev.max() > tol:
         i, k = np.unravel_index(int(dev.argmax()), dev.shape)
@@ -87,7 +92,7 @@ def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
             "basis rows are not orthonormal: "
             f"<row{i}|row{k}> = {gram[i, k]:.6g} deviates by {dev[i, k]:.3g}"
         )
-    return TwoPhotonBasis(_frozen(arr))
+    return basis
 
 
 def _validate_assignment(table) -> np.ndarray:
@@ -126,14 +131,11 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     if not isinstance(basis, TwoPhotonBasis):
         basis = validate_basis(basis)
     table = _validate_assignment(assignment)
-    projectors = []
-    for j in range(table.shape[1]):
-        proj = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            if table[i, j]:
-                row = basis.states[i]
-                proj += np.outer(row, row.conj())
-        projectors.append(_frozen(proj))
+    rows = basis.states.T  # rows[m, i] is component m of |a^i>
+    # P_j[m, n] = sum_i pi[i][j] a^i_m conj(a^i_n), one expression for every j:
+    # products rounded as complex_product rounds them make P_j exactly Hermitian.
+    weighted = table.T[:, None, None, :] * rows[None, :, None, :]
+    projectors = _frozen(complex_product(weighted, rows.conj(), contract=True))
     return ProjectorFamily(basis, table, tuple(projectors))
 
 

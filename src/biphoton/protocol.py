@@ -27,6 +27,7 @@ other.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -35,19 +36,18 @@ import numpy as np
 
 from biphoton import auxprep, measurement
 from biphoton.auxprep import KEPT_PAIR
-from biphoton.measurement import ProjectorFamily, ket_from_vector, two_photon_vector
+from biphoton.measurement import ProjectorFamily, two_photon_vector
 from biphoton.statevec import (
     DEFAULT_TOL,
-    POLARIZATIONS,
     ZERO_PROBABILITY,
     Ket,
     ValidationError,
+    _labels,
     _prune,
     apply_one_photon,
     basis_ket,
     complex_product,
     norm,
-    normalize,
     phase_equal,
     superpose,
 )
@@ -118,6 +118,9 @@ def bell_ket(kind: BellOutcome, pair) -> Ket:
 #: (photon 1, photon 2, b15, b26), so the input photons stay open.
 _BELL_BRAS = np.array([bell_ket(kind, (1, 5)).array.conj() for kind in BELL_ORDER])
 _BELL_PAIR_BRAS = np.einsum("aip,bjq->ijabpq", _BELL_BRAS, _BELL_BRAS).reshape(64, 4)
+
+#: Bell pairs (outcome on (1,5), outcome on (2,6)) in report order.
+_PAIRS = tuple(itertools.product(BELL_ORDER, repeat=2))
 
 
 @dataclass(frozen=True)
@@ -195,25 +198,73 @@ class Branch:
 
     @property
     def classification(self) -> str:
-        if self.kind == "success":
-            return f"success({self.j})"
-        if self.kind == "correctable":
-            return f"correctable->success({self.j})"
-        return self.kind
+        return _classification(self.kind, self.j)
 
 
-@dataclass(frozen=True)
+def _classification(kind: str, j: int | None) -> str:
+    """A branch's classification as reports print it."""
+    if kind == "success":
+        return f"success({j})"
+    if kind == "correctable":
+        return f"correctable->success({j})"
+    return kind
+
+
+@dataclass(frozen=True, eq=False)
 class ProtocolReport:
-    """Full branch table and probability totals of one protocol run."""
+    """Branch table and probability totals of one protocol run, as arrays.
+
+    Row ``k`` is Bell pair ``_PAIRS[k]``, column ``r`` register reading ``r``.
+    An accepted pair is one branch per reading, with a unit residual each.
+    Any other pair is one branch: its probability sits in column 0 (the rest
+    hold 0) and its residuals, taken together, are one unit state joint over
+    kept and register photons.  Arrays are read-only and residuals pruned.
+    """
 
     mode: str
     analyzer: AnalyzerModel
     input_state: Ket
     family: ProjectorFamily
-    branches: tuple
+    j_register: tuple[int, ...]
+    corrections: tuple  # per pair: its correction list, None if not accepted
+    probabilities: np.ndarray  # (16, R)
+    residuals: np.ndarray  # (16, R, 2, 2): the kept pair per reading
     success_probability: float
     conditional_j: tuple
     inconclusive_probability: float
+
+    def _rows(self):
+        """The ``Branch`` fields of every branch, in order, off the arrays; a
+        residual comes as its array, over the first ``ndim`` photons of the
+        kept pair and the register."""
+        readings = _labels(len(self.j_register))
+        joint = (2,) * (len(KEPT_PAIR) + len(self.j_register))
+        rows = zip(_PAIRS, self.corrections, self.probabilities.tolist())
+        for k, ((b15, b26), fix, probabilities) in enumerate(rows):
+            if fix is None:  # one branch, its probability in column 0
+                p = probabilities[0]
+                if p < ZERO_PROBABILITY:
+                    yield b15, b26, None, p, (), "zero", None, None
+                else:  # the readings' residuals make one state, reading axis last
+                    state = self.residuals[k].transpose(1, 2, 0).reshape(joint)
+                    yield b15, b26, None, p, (), "inconclusive", None, state
+                continue
+            kind = "correctable" if fix else "success"
+            for j, p in enumerate(probabilities):
+                if p < ZERO_PROBABILITY:
+                    yield b15, b26, readings[j] or None, p, fix, "zero", None, None
+                else:
+                    residual = self.residuals[k, j]
+                    yield b15, b26, readings[j] or None, p, fix, kind, j, residual
+
+    @functools.cached_property
+    def branches(self) -> tuple:
+        """The table as ``Branch`` records, built on first access."""
+        register = KEPT_PAIR + self.j_register
+        return tuple(
+            Branch(*row, None if state is None else Ket(register[: state.ndim], state))
+            for *row, state in self._rows()
+        )
 
 
 @dataclass(frozen=True)
@@ -315,9 +366,8 @@ def run_protocol(
     beta = two_photon_vector(input_state)
     residuals = complex_product(_transfer_tensor(aux), beta, contract=True)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
-    pairs = list(itertools.product(BELL_ORDER, repeat=2))
     fixes, signs = [], np.ones((16, 1, 2, 2))
-    for k, pair in enumerate(pairs):
+    for k, pair in enumerate(_PAIRS):
         accept = pair in accepted_pairs and set(pair) <= analyzer.distinguishable
         fixes.append(corrections_for(pair) if accept else None)
         for correction in fixes[-1] or ():
@@ -325,38 +375,23 @@ def run_protocol(
     # An accepted pair splits into one unit residual per reading; any other
     # pair is one joint state over kept and register photons, scaled by its total.
     accepted = np.array([fix is not None for fix in fixes])[:, None]
-    probs = np.where(accepted, weights, weights.sum(axis=1, keepdims=True))
+    totals = weights.sum(axis=1, keepdims=True)
     # Rows below ZERO_PROBABILITY carry no state; the floor keeps them finite.
-    scale = np.sqrt(np.maximum(probs, ZERO_PROBABILITY))[..., None, None]
-    units = residuals.reshape(16, -1, 2, 2) * signs / scale
-    split, joint = _prune(units), _prune(np.moveaxis(units, 1, -1))
+    scale = np.sqrt(np.maximum(np.where(accepted, weights, totals), ZERO_PROBABILITY))
+    units = residuals.reshape(16, -1, 2, 2) * signs / scale[..., None, None]
+    first = np.arange(weights.shape[1]) == 0  # where an unaccepted pair's total goes
+    probabilities = np.where(accepted, weights, totals * first)
+    probabilities.flags.writeable = False
 
-    readings = itertools.product(POLARIZATIONS, repeat=len(aux.j_register))
-    readings = ["".join(labels) or None for labels in readings]
-    # Readings j >= J weigh exactly zero, but they still get a slot.
-    per_outcome = [0.0] * max(family.n_outcomes, len(readings))
+    # Totals add every row in branch order, readings j >= J (weight 0) included.
+    per_outcome = [0.0] * max(family.n_outcomes, probabilities.shape[1])
     inconclusive_probability = 0.0
-    branches = []
-    for k, ((b15, b26), fix) in enumerate(zip(pairs, fixes)):
-        if fix is not None:
-            kind, register = ("correctable" if fix else "success"), aux.kept
-            outcomes = zip(readings, itertools.count(), split[k], weights[k].tolist())
-        else:
-            fix, kind = (), "inconclusive"
-            register = aux.kept + aux.j_register
-            unit = joint[k].reshape((2,) * len(register))
-            outcomes = [(None, None, unit, float(probs[k, 0]))]
-        for reading, j, residual, probability in outcomes:
-            if j is None:
-                inconclusive_probability += probability
-            else:
-                per_outcome[j] += probability
-            if probability < ZERO_PROBABILITY:
-                branches.append(Branch(b15, b26, reading, probability, fix, "zero"))
-                continue
-            ket = Ket(register, residual)  # a read-only view, already pruned
-            branches.append(Branch(b15, b26, reading, probability, fix, kind, j, ket))
-
+    for fix, row in zip(fixes, probabilities.tolist()):
+        if fix is None:
+            inconclusive_probability += row[0]
+            continue
+        for j, probability in enumerate(row):
+            per_outcome[j] += probability
     success_probability = sum(per_outcome)
     conditional = [0.0] * family.n_outcomes
     if success_probability >= ZERO_PROBABILITY:
@@ -366,7 +401,10 @@ def run_protocol(
         analyzer=analyzer,
         input_state=input_state,
         family=family,
-        branches=tuple(branches),
+        j_register=aux.j_register,
+        corrections=tuple(fixes),
+        probabilities=probabilities,
+        residuals=_prune(units),
         success_probability=success_probability,
         conditional_j=tuple(conditional),
         inconclusive_probability=inconclusive_probability,
@@ -382,16 +420,15 @@ def oracle_report(
     can be compared directly with teleported residuals.
     """
     _validate_input(input_state, tol)
-    vec = two_photon_vector(input_state)
-    probabilities = []
-    states = []
-    for proj in family.projectors:
-        image = proj @ vec
-        p = float(np.vdot(image, image).real)
-        probabilities.append(p)
-        zero = p < ZERO_PROBABILITY
-        states.append(None if zero else normalize(ket_from_vector(KEPT_PAIR, image)))
-    return OracleStatistics(tuple(probabilities), tuple(states))
+    images = np.asarray(family.projectors) @ two_photon_vector(input_state)
+    probabilities = (images.real**2 + images.imag**2).sum(axis=1)
+    live = probabilities >= ZERO_PROBABILITY
+    units = _prune(images / np.sqrt(np.where(live, probabilities, 1.0))[:, None])
+    states = [
+        Ket(KEPT_PAIR, unit.reshape(2, 2)) if ok else None
+        for unit, ok in zip(units, live.tolist())
+    ]
+    return OracleStatistics(tuple(probabilities.tolist()), tuple(states))
 
 
 def compare_reports(
@@ -430,20 +467,20 @@ def compare_reports(
                 f"report {got:.12g} vs oracle {expected:.12g}"
             )
 
-    for index, branch in enumerate(report.branches):
-        if not branch.is_success:
+    for index, (b15, b26, _, _, _, kind, j, residual) in enumerate(report._rows()):
+        if kind not in ("success", "correctable"):
             continue
-        target = oracle.states[branch.j]
+        target = oracle.states[j]
         if target is None:
             mismatches.append(
-                f"branch {index} succeeds with outcome {branch.j}, "
+                f"branch {index} succeeds with outcome {j}, "
                 "which the oracle rules out"
             )
             continue
-        if not phase_equal(branch.residual, target, tol=tol):
+        if not phase_equal(Ket(KEPT_PAIR, residual), target, tol=tol):
             mismatches.append(
-                f"branch {index} ({branch.bell15.value}, {branch.bell26.value}"
-                f", outcome {branch.j}): residual differs from the projected "
+                f"branch {index} ({b15.value}, {b26.value}"
+                f", outcome {j}): residual differs from the projected "
                 "input beyond global phase"
             )
     return Verdict(not mismatches, tuple(mismatches))

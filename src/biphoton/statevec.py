@@ -20,9 +20,9 @@ Numeric policy, followed by every module:
 * agreement: two values agree when no component differs by more than the
   caller's ``tol``, or by ``DEFAULT_TOL`` when there is none;
 * rounding: complex products that reach a report (``tensor``, the general
-  resource, the residual contraction) go through ``complex_product``: real
-  arithmetic, terms added in index order, so no bit depends on layout or
-  batch shape; the oracle and the reference helpers use numpy's own.
+  resource, the residual contraction) and the projectors go through
+  ``complex_product``: real arithmetic, terms added in index order, so no bit
+  depends on layout or batch shape; the oracle and reference helpers do not.
 """
 
 from __future__ import annotations

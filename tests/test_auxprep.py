@@ -1,6 +1,8 @@
 """Tests for conjugate-partner states, outcome-register encodings and
 auxiliary resource construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from biphoton.auxprep import (
     encode_j_two_photon,
 )
 from biphoton.measurement import (
+    TwoPhotonBasis,
     family_from_assignment,
     parity_family,
     validate_basis,
@@ -20,6 +23,7 @@ from biphoton.measurement import (
 from biphoton.statevec import (
     ValidationError,
     basis_ket,
+    from_array,
     inner,
     norm,
     partial_bra,
@@ -232,3 +236,30 @@ def test_parity_aux4_is_even_branch_of_aux5():
     even_branch = partial_bra(encode_j_one_photon(0), five)
     assert phase_equal(even_branch, four)
     assert norm(even_branch) == pytest.approx(1 / SQRT2)
+
+
+def test_conjugate_partner_matches_the_checked_construction():
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        basis = validate_basis(random_orthonormal_basis(rng))
+        for i in range(4):
+            want = from_array((5, 6), basis.states[i].conj()[[3, 2, 1, 0]])
+            partner = conjugate_partner(basis, i)
+            assert partner == want and not partner.array.flags.writeable
+            assert conjugate_partner(basis, i, register=[8, 9]) == from_array(
+                (8, 9), want.array
+            )
+
+
+def test_conjugate_partner_rejects_what_it_always_rejected():
+    with pytest.raises(ValidationError, match="non-finite"):
+        conjugate_partner(TwoPhotonBasis(np.full((4, 4), np.inf)), 0)
+    rows = np.eye(4, dtype=complex)
+    rows[2, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        conjugate_partner(SimpleNamespace(states=rows), 2)
+    basis = validate_basis(np.eye(4))
+    with pytest.raises(ValidationError, match="repeated"):
+        conjugate_partner(basis, 0, register=(5, 5))
+    with pytest.raises(ValidationError):
+        conjugate_partner(basis, 0, register=(5, 6, 7))

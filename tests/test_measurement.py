@@ -5,6 +5,7 @@ import pytest
 
 from biphoton.measurement import (
     BASIS_LABELS,
+    TwoPhotonBasis,
     apply_projector,
     expectation,
     family_from_assignment,
@@ -207,3 +208,27 @@ def test_apply_projector_matches_matrix_oracle(seed):
         assert p == pytest.approx(norm(projected) ** 2, abs=1e-10)
         probs.append(p)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_projectors_are_exactly_hermitian():
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        n_outcomes = int(rng.integers(1, 5))
+        fam = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+        for proj in fam.projectors:
+            assert (proj == proj.conj().T).all()
+            assert (np.diagonal(proj).imag == 0).all()
+            assert not proj.flags.writeable
+
+
+def test_basis_is_checked_when_built_by_hand():
+    with pytest.raises(ValidationError, match="non-finite"):
+        TwoPhotonBasis(np.full((4, 4), np.nan))
+    with pytest.raises(ValidationError, match="4x4"):
+        TwoPhotonBasis(np.eye(3))
+    rows = np.eye(4)
+    basis = TwoPhotonBasis(rows)
+    rows[0, 0] = 2.0  # the basis keeps its own read-only copy
+    assert basis.states[0, 0] == 1.0 and not basis.states.flags.writeable

@@ -31,6 +31,7 @@ from biphoton.protocol import (
 from biphoton.statevec import (
     DEFAULT_TOL,
     PRUNE_THRESHOLD,
+    ZERO_PROBABILITY,
     ValidationError,
     basis_ket,
     complex_product,
@@ -770,3 +771,27 @@ def test_parity_modes_judge_the_family_within_tol():
         run_protocol(hh_input(), fam, "parity5")
     report = run_protocol(hh_input(), fam, "parity5", tol=1e-5)
     assert report.success_probability == pytest.approx(0.25, abs=1e-12)
+
+
+def test_oracle_matches_projecting_one_outcome_at_a_time():
+    rng = np.random.default_rng(5150)
+    cases = [(parity_family(), input_ket([1, 0, 0, 0]))]
+    for _ in range(40):
+        fam = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, int(rng.integers(1, 5)))
+        )
+        cases.append((fam, input_ket(random_unit_vector(rng))))
+    for fam, beta in cases:
+        oracle = oracle_report(beta, fam)
+        assert len(oracle.probabilities) == len(oracle.states) == fam.n_outcomes
+        for j, (p, state) in enumerate(zip(oracle.probabilities, oracle.states)):
+            image = apply_projector(fam, j, beta)
+            assert isinstance(p, float)
+            assert p == pytest.approx(norm(image) ** 2, abs=1e-15)
+            if p < ZERO_PROBABILITY:
+                assert state is None
+                continue
+            assert state.register == (3, 4) and not state.array.flags.writeable
+            assert norm(state) == pytest.approx(1.0, abs=1e-15)
+            target = ket_from_vector((3, 4), two_photon_vector(image))
+            assert phase_equal(state, normalize(target), tol=1e-15)
