@@ -215,10 +215,11 @@ class ProtocolReport:
     """Branch table and probability totals of one protocol run, as arrays.
 
     Row ``k`` is Bell pair ``_PAIRS[k]``, column ``r`` register reading ``r``.
-    An accepted pair is one branch per reading, with a unit residual each.
-    Any other pair is one branch: its probability sits in column 0 (the rest
-    hold 0) and its residuals, taken together, are one unit state joint over
-    kept and register photons.  Arrays are read-only and residuals pruned.
+    An accepted pair is one branch per reading, its residual ``residuals[k,
+    r]``.  Any other pair is one branch: its probability sits in column 0 (the
+    rest hold 0) and its residuals, read across the readings, are one state
+    over the kept and register photons.  Arrays are read-only; residuals are
+    pruned, and unit where the branch probability reaches ``ZERO_PROBABILITY``.
     """
 
     mode: str
@@ -238,16 +239,17 @@ class ProtocolReport:
         residual comes as its array, over the first ``ndim`` photons of the
         kept pair and the register."""
         readings = _labels(len(self.j_register))
-        joint = (2,) * (len(KEPT_PAIR) + len(self.j_register))
+        # Views of each pair's residuals as one state, the reading axis last.
+        joint = (16,) + (2,) * (len(KEPT_PAIR) + len(self.j_register))
+        joint_states = self.residuals.transpose(0, 2, 3, 1).reshape(joint)
         rows = zip(_PAIRS, self.corrections, self.probabilities.tolist())
         for k, ((b15, b26), fix, probabilities) in enumerate(rows):
             if fix is None:  # one branch, its probability in column 0
                 p = probabilities[0]
                 if p < ZERO_PROBABILITY:
                     yield b15, b26, None, p, (), "zero", None, None
-                else:  # the readings' residuals make one state, reading axis last
-                    state = self.residuals[k].transpose(1, 2, 0).reshape(joint)
-                    yield b15, b26, None, p, (), "inconclusive", None, state
+                else:
+                    yield b15, b26, None, p, (), "inconclusive", None, joint_states[k]
                 continue
             kind = "correctable" if fix else "success"
             for j, p in enumerate(probabilities):
