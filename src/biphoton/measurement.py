@@ -131,11 +131,11 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     if not isinstance(basis, TwoPhotonBasis):
         basis = validate_basis(basis)
     table = _validate_assignment(assignment)
-    rows = basis.states.T  # rows[m, i] is component m of |a^i>
+    a = basis.states.T  # a[m, i] is component m of |a^i>
     # P_j[m, n] = sum_i pi[i][j] a^i_m conj(a^i_n), one expression for every j:
     # products rounded as complex_product rounds them make P_j exactly Hermitian.
-    weighted = table.T[:, None, None, :] * rows[None, :, None, :]
-    projectors = _frozen(complex_product(weighted, rows.conj(), contract=True))
+    weighted = table.T[:, None, None, :] * a[None, :, None, :]
+    projectors = _frozen(complex_product(weighted, a.conj(), contract=True))
     return ProjectorFamily(basis, table, tuple(projectors))
 
 
