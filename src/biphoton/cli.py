@@ -27,11 +27,11 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
-import weakref
 from dataclasses import dataclass
 from itertools import compress
 
@@ -422,16 +422,11 @@ def _family_json(family: ProjectorFamily) -> str:
     return f'{{\n    "basis": [\n{basis}\n    ],\n    "assignment": {assignment}\n  }}'
 
 
-#: Each report's branch texts, kept while the report lives.
-_TEXTS = weakref.WeakKeyDictionary()
-
-
-def _branch_texts(report: ProtocolReport) -> list:
+@functools.lru_cache(maxsize=1)
+def _branch_texts(report: ProtocolReport) -> tuple:
     """Per branch: ``(bell15, bell26, reading, probability, classification,
     corrections, cells)``.  The table's numbers go through one ``_number``
-    call per report, and both writers use the texts."""
-    if report in _TEXTS:
-        return _TEXTS[report]
+    call per report; the last report's texts are kept for its other format."""
     rows = list(report._rows())
     states = [row[-1].ravel() for row in rows if row[-1] is not None]
     amplitudes = np.concatenate(states)
@@ -439,12 +434,11 @@ def _branch_texts(report: ProtocolReport) -> list:
         [[row[3] for row in rows], amplitudes[amplitudes != 0].view(float)]
     ))
     parts = iter(numbers[len(rows) :])  # re, im of each shown component
-    texts = _TEXTS[report] = [
+    return tuple(
         (b15.value, b26.value, reading, p, _classification(kind, j), fixes,
          None if residual is None else _cells(residual, parts))
         for (b15, b26, reading, _, fixes, kind, j, residual), p in zip(rows, numbers)
-    ]
-    return texts
+    )
 
 
 def _branch_json(bell15, bell26, reading, probability, classification, fixes, cells):

@@ -30,6 +30,7 @@ import enum
 import functools
 import itertools
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,6 @@ __all__ = [
 ]
 
 INPUT_PAIR = (1, 2)
-
-MODES = ("general", "parity5", "parity4")
 
 
 class BellOutcome(enum.Enum):
@@ -133,12 +132,29 @@ class AnalyzerModel:
 
 #: Linear-optics analyzer: only the two Psi states produce distinct
 #: coincidence signatures.
-LINEAR_ANALYZER = AnalyzerModel(
-    "linear", frozenset({BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS})
-)
+LINEAR_ANALYZER = AnalyzerModel("linear", frozenset(BELL_ORDER[:2]))
 
 #: Hypothetical analyzer resolving all four Bell states.
 IDEAL_ANALYZER = AnalyzerModel("ideal", frozenset(BELL_ORDER))
+
+
+#: Each mode's accepted Bell pairs, and the weight ``w = c**2`` each carries per
+#: unit of oracle probability: its block of ``T`` is a Pauli-rotated ``c * P_j``.
+_PSI_PAIRS = tuple(itertools.product(BELL_ORDER[:2], repeat=2))
+_MODE_TABLE = {
+    "general": (_PSI_PAIRS[:1], 1 / 16),
+    "parity5": (_PSI_PAIRS, 1 / 16),
+    "parity4": (_PSI_PAIRS, 1 / 8),
+}
+MODES = tuple(_MODE_TABLE)
+
+
+@functools.cache
+def _accepted_pairs(mode: str, analyzer: AnalyzerModel) -> frozenset:
+    """The mode's pairs whose two outcomes the analyzer resolves."""
+    pairs, _ = _MODE_TABLE[mode]
+    return frozenset(p for p in pairs if set(p) <= analyzer.distinguishable)
+
 
 _GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
 
@@ -355,23 +371,20 @@ def run_protocol(
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "general":
-        accepted_pairs = {(BellOutcome.PSI_PLUS, BellOutcome.PSI_PLUS)}
         aux = auxprep.build_general_aux(family)
     elif not _is_parity(family, tol):
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
     else:
-        psi = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
-        accepted_pairs = {(a, b) for a in psi for b in psi}
         parity5 = mode == "parity5"
         aux = auxprep.build_parity_aux5() if parity5 else auxprep.build_parity_aux4()
 
     beta = two_photon_vector(input_state)
     residuals = complex_product(_transfer_tensor(aux), beta, contract=True)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
+    accepts = _accepted_pairs(mode, analyzer)
     fixes, signs = [], np.ones((16, 1, 2, 2))
     for k, pair in enumerate(_PAIRS):
-        accept = pair in accepted_pairs and set(pair) <= analyzer.distinguishable
-        fixes.append(corrections_for(pair) if accept else None)
+        fixes.append(corrections_for(pair) if pair in accepts else None)
         for correction in fixes[-1] or ():
             signs[k] *= _SIGN_MASKS[correction]
     # An accepted pair splits into one unit residual per reading; any other
@@ -394,7 +407,8 @@ def run_protocol(
             continue
         for j, probability in enumerate(row):
             per_outcome[j] += probability
-    success_probability = sum(per_outcome)
+    # Strictly left to right: from Python 3.12 the builtin sum compensates.
+    success_probability = functools.reduce(operator.add, per_outcome)
     conditional = [0.0] * family.n_outcomes
     if success_probability >= ZERO_PROBABILITY:
         conditional = [p / success_probability for p in per_outcome[: len(conditional)]]
@@ -436,38 +450,30 @@ def oracle_report(
 def compare_reports(
     report: ProtocolReport, oracle: OracleStatistics, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    """Check a protocol run against the oracle statistics.
+    """Check a protocol run against the oracle, by one rule for every mode.
 
-    The verdict passes when the success-conditioned outcome distribution
-    matches the oracle probabilities and every success branch's residual
-    equals the oracle's post-measurement state up to a global phase.  In
-    the four-photon filter mode only outcome 0 is realizable, so there
-    the conditional distribution degenerates and the total success
-    probability is pinned to half the oracle's even-parity weight.
+    Each accepted pair weighs ``w * p_j`` on each outcome ``j`` the register
+    shows: the run must succeed with ``w * len(accepted) * sum(p_j)``, with the
+    ``p_j`` renormalized (if both successes reach ``ZERO_PROBABILITY``), and
+    each success residual must match the oracle's state up to global phase.
     """
     _check_tol(tol)
     mismatches = []
-    if report.mode == "parity4":
-        expected_total = 0.5 * oracle.probabilities[0]
-        if abs(report.success_probability - expected_total) > tol:
-            mismatches.append(
-                "success probability "
-                f"{report.success_probability:.12g} != "
-                f"(1/2) * even-parity weight {expected_total:.12g}"
-            )
-        expected_conditional = list(report.conditional_j)  # vacuous
-        if report.success_probability >= ZERO_PROBABILITY:
-            expected_conditional = [1.0] + [0.0] * (len(oracle.probabilities) - 1)
-    else:
-        expected_conditional = list(oracle.probabilities)
-
-    for j, expected in enumerate(expected_conditional):
-        got = report.conditional_j[j]
-        if abs(got - expected) > tol:
-            mismatches.append(
-                f"conditional probability of outcome {j}: "
-                f"report {got:.12g} vs oracle {expected:.12g}"
-            )
+    shown = oracle.probabilities[: report.probabilities.shape[1]]
+    shown_total = functools.reduce(operator.add, shown)
+    _, weight = _MODE_TABLE[report.mode]
+    got = report.success_probability
+    want = weight * len(_accepted_pairs(report.mode, report.analyzer)) * shown_total
+    if abs(got - want) > tol:
+        mismatches.append(f"success probability {got:.12g} vs oracle {want:.12g}")
+    if min(got, want) >= ZERO_PROBABILITY:
+        wanted = [p / shown_total for p in shown] + [0.0] * len(oracle.probabilities)
+        for j, (got, want) in enumerate(zip(report.conditional_j, wanted)):
+            if abs(got - want) > tol:
+                mismatches.append(
+                    f"conditional probability of outcome {j}: "
+                    f"report {got:.12g} vs oracle {want:.12g}"
+                )
 
     for index, (b15, b26, _, _, _, kind, j, residual) in enumerate(report._rows()):
         if kind not in ("success", "correctable"):
@@ -478,8 +484,7 @@ def compare_reports(
                 f"branch {index} succeeds with outcome {j}, "
                 "which the oracle rules out"
             )
-            continue
-        if not phase_equal(Ket(KEPT_PAIR, residual), target, tol=tol):
+        elif not phase_equal(Ket(KEPT_PAIR, residual), target, tol=tol):
             mismatches.append(
                 f"branch {index} ({b15.value}, {b26.value}"
                 f", outcome {j}): residual differs from the projected "

@@ -89,6 +89,10 @@ def test_parse_scientific_notation():
         ("|HV", 3),  # unterminated ket
         ("0.5*", 4),  # dangling coefficient
         ("|HH> +", 6),  # dangling operator
+        ("(x,1)*|HH>", 1),  # bad real part
+        ("(1 2)*|HH>", 3),  # neither ',' nor a signed imaginary part
+        ("(1,2*|HH>", 4),  # unclosed complex coefficient
+        ("-", 1),  # sign without a term
     ],
 )
 def test_parse_errors_carry_byte_offsets(text, offset):
@@ -118,6 +122,10 @@ def test_format_ket_zero_vector():
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
+
+
+EYE4 = [[int(i == k) for k in range(4)] for i in range(4)]
+PARITY_TABLE = [[1, 0], [1, 0], [0, 1], [0, 1]]
 
 
 def base_config(**overrides):
@@ -194,11 +202,23 @@ def test_load_config_normalizes_with_warning():
         {"input_state": [1e999, 1, 0, 0]},
         {"input_state": "1e999*|HH>"},
         {"unexpected": True},
+        {"input_state": [True, 0, 0, 0]},
+        {"input_state": ["1", 0, 0, 0]},
+        {"family": {"basis": EYE4, "assignment": PARITY_TABLE, "labels": []}},
+        {"family": {"basis": EYE4}},
+        {"family": {"basis": EYE4[:3], "assignment": PARITY_TABLE}},
+        {"family": {"basis": [row[:3] for row in EYE4], "assignment": PARITY_TABLE}},
+        {"family": {"basis": EYE4, "assignment": [[1]] * 3}},
     ],
 )
 def test_load_config_rejects_bad_values(overrides):
     with pytest.raises(ValidationError):
         load_config(base_config(**overrides))
+
+
+def test_load_config_rejects_a_non_object():
+    with pytest.raises(ValidationError, match="config must be a JSON object"):
+        load_config([base_config()])
 
 
 def test_load_config_requires_keys():

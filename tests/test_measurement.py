@@ -171,6 +171,13 @@ def test_ket_from_vector_rejects_non_finite_components():
         ket_from_vector((1, 2), [float("nan"), 1, 0, 0])
 
 
+def test_ket_from_vector_rejects_bad_shapes():
+    with pytest.raises(ValidationError, match="expected 4 components"):
+        ket_from_vector((1, 2), [1, 0, 0])
+    with pytest.raises(ValidationError, match="register must name two photons"):
+        ket_from_vector((1, 2, 3), [1, 0, 0, 0])
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_family_invariants(seed):
     rng = np.random.default_rng(seed)

@@ -107,3 +107,17 @@ def test_one_complex_product_rule():
     assert "_COMPLEX_PRODUCT" not in source
     assert "ascontiguousarray" not in source
     assert not hasattr(statevec, "_COMPLEX_PRODUCT")
+
+
+def test_protocol_totals_add_left_to_right():
+    # From Python 3.12 the builtin sum of floats compensates, which would
+    # move the last bit of printed totals; protocol adds strictly in order.
+    tree = ast.parse((PACKAGE / "protocol.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+    assert calls == []

@@ -686,6 +686,97 @@ def test_compare_reports_flags_partner_without_flip(monkeypatch):
     assert verdict.mismatches
 
 
+ONLY_PSI_PLUS = AnalyzerModel("psi+", frozenset({PSI_PLUS}))
+ONLY_PSI_MINUS = AnalyzerModel("psi-", frozenset({PSI_MINUS}))
+
+
+def test_mode_table_states_each_mode_once():
+    assert MODES == ("general", "parity5", "parity4")
+    psi_pairs = {(a, b) for a in (PSI_PLUS, PSI_MINUS) for b in (PSI_PLUS, PSI_MINUS)}
+    assert protocol._MODE_TABLE["general"][1] == 1 / 16
+    assert protocol._MODE_TABLE["parity5"][1] == 1 / 16
+    assert protocol._MODE_TABLE["parity4"][1] == 1 / 8
+    accepted = protocol._accepted_pairs
+    for analyzer in (LINEAR_ANALYZER, IDEAL_ANALYZER):
+        assert accepted("general", analyzer) == {(PSI_PLUS, PSI_PLUS)}
+        assert accepted("parity5", analyzer) == psi_pairs
+        assert accepted("parity4", analyzer) == psi_pairs
+    assert accepted("general", ONLY_PSI_MINUS) == frozenset()
+    assert accepted("parity4", ONLY_PSI_MINUS) == {(PSI_MINUS, PSI_MINUS)}
+    assert accepted("parity5", ONLY_PSI_PLUS) == {(PSI_PLUS, PSI_PLUS)}
+
+
+@pytest.mark.parametrize(
+    "mode,analyzer,pair_weight",
+    [
+        ("general", ONLY_PSI_PLUS, lambda p: 1 / 16),
+        ("parity5", ONLY_PSI_PLUS, lambda p: 1 / 16),
+        ("parity4", ONLY_PSI_PLUS, lambda p: p[0] / 8),
+        ("general", ONLY_PSI_MINUS, lambda p: 0.0),
+    ],
+)
+def test_restricted_analyzers_pass_the_oracle(mode, analyzer, pair_weight):
+    rng = np.random.default_rng(1300)
+    for _ in range(5):
+        beta = input_ket(random_unit_vector(rng))
+        report = run_protocol(beta, parity_family(), mode=mode, analyzer=analyzer)
+        oracle = oracle_report(beta, parity_family())
+        assert report.success_probability == pytest.approx(
+            pair_weight(oracle.probabilities), abs=1e-14
+        )
+        verdict = compare_reports(report, oracle)
+        assert verdict.passed, verdict.mismatches
+
+
+def test_compare_reports_flags_a_misnormalized_resource(monkeypatch):
+    healthy = auxprep.conjugate_partner
+
+    def scaled(basis, i, register=auxprep.PARTNER_PAIR):
+        return superpose([(1.01, healthy(basis, i, register))])
+
+    monkeypatch.setattr(auxprep, "conjugate_partner", scaled)
+    rng = np.random.default_rng(1400)
+    for _ in range(20):
+        n_outcomes = int(rng.integers(1, 5))
+        family = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+        beta = input_ket(random_unit_vector(rng))
+        report = run_protocol(beta, family, mode="general")
+        every_branch = report.success_probability + report.inconclusive_probability
+        assert every_branch == pytest.approx(1.0201, abs=1e-12)
+        verdict = compare_reports(report, oracle_report(beta, family))
+        assert not verdict.passed
+        assert verdict.mismatches[0].startswith("success probability 0.06375")
+
+
+def test_compare_reports_flags_a_permuted_oracle_distribution():
+    beta = input_ket(np.array([0.6, 0.8, 0, 0]))  # even weight 0.36, odd 0.64
+    report = run_protocol(beta, parity_family(), mode="parity5")
+    oracle = oracle_report(beta, parity_family())
+    swapped = protocol.OracleStatistics(oracle.probabilities[::-1], oracle.states)
+    verdict = compare_reports(report, swapped)
+    assert not verdict.passed
+    assert [m.split(":")[0] for m in verdict.mismatches] == [
+        "conditional probability of outcome 0",
+        "conditional probability of outcome 1",
+    ]
+
+
+def test_compare_reports_flags_a_success_the_oracle_rules_out():
+    beta = input_ket(np.array([0.6, 0.8, 0, 0]))
+    report = run_protocol(beta, parity_family(), mode="parity4")
+    oracle = oracle_report(beta, parity_family())
+    blind = protocol.OracleStatistics(oracle.probabilities, (None, oracle.states[1]))
+    verdict = compare_reports(report, blind)
+    assert verdict.mismatches == (
+        "branch 0 succeeds with outcome 0, which the oracle rules out",
+        "branch 1 succeeds with outcome 0, which the oracle rules out",
+        "branch 4 succeeds with outcome 0, which the oracle rules out",
+        "branch 5 succeeds with outcome 0, which the oracle rules out",
+    )
+
+
 # ---------------------------------------------------------------------------
 # numeric policy: near-zero outcomes and small tolerances
 # ---------------------------------------------------------------------------
