@@ -1,31 +1,30 @@
 """Construction of the auxiliary entangled photon resources.
 
 The protocol consumes a multi-photon entangled state prepared ahead of
-time.  For a projector family with basis ``{|a^i>}`` and assignment
-``pi`` the general six-photon resource is
+time.  For a projector family whose basis row ``|a^i>`` belongs to outcome
+``j_i``, every resource is one formula over the ``n`` rows whose outcome
+the register can record (``j_i < 2**len(register)``):
 
-    |X> = (1/2) sum_j sum_i pi[i][j] |a^i>_34 |a^i~>_56 |j>_78
+    |X> = n**-0.5 sum_i |a^i>_34 |a^i~>_56 |j_i>
 
 where ``|a^i~>`` is the *conjugate partner* of ``|a^i>``: its components
 are complex-conjugated and both polarizations are flipped (H <-> V on
 each photon).  That pairing is what turns a joint Bell acceptance on
 photons (1,5) and (2,6) into an identity teleportation channel.
 
-For the polarization-parity measurement two leaner resources exist: a
-five-photon variant encoding the outcome in a single photon, and a
-four-photon variant that keeps only the even-parity branch and acts as
-a filter.  Photon roles are hard-wired to the fixed labeling: input
-(1, 2), kept pair (3, 4), partners (5, 6), outcome register (7, 8) or
-(7,).
+The general resource records ``j`` on the pair (7, 8).  The parity family
+on one register photon (7,) gives the five-photon parity resource; on none
+it keeps only the even rows, the four-photon filter.  Photon roles are
+hard-wired: input (1, 2), kept pair (3, 4), partners (5, 6).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from biphoton import measurement
 from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
@@ -35,7 +34,6 @@ from biphoton.statevec import (
     basis_ket,
     complex_product,
     from_array,
-    superpose,
 )
 
 __all__ = [
@@ -96,35 +94,38 @@ def encode_j_one_photon(j: int) -> Ket:
     return basis_ket(J_REGISTER_ONE, "H" if j == 0 else "V")
 
 
-def build_general_aux(family: ProjectorFamily) -> AuxState:
-    """Six-photon resource implementing an arbitrary projector family."""
-    # Row i adds |a^i>_34 |a^i~>_56 |j>_78: its partner sits in column j.
+def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
+    """The module docstring's resource of ``family`` on ``j_register``."""
+    # Row i adds |a^i>_34 |a^i~>_56 |j_i> if j_i < R: its partner in column j_i.
+    outcomes = family.assignment.argmax(axis=1)
+    rows = np.flatnonzero(outcomes < 2 ** len(j_register))
     kept = _prune(family.basis.states)
-    columns = np.zeros((4, 4, 4), dtype=complex)  # (row, partner pair, reading)
-    columns[np.arange(4), :, family.assignment.argmax(axis=1)] = [
-        conjugate_partner(family.basis, i).array.reshape(4) for i in range(4)
+    columns = np.zeros((4, 4, 2 ** len(j_register)), dtype=complex)  # (row, partner, r)
+    columns[rows, :, outcomes[rows]] = [
+        conjugate_partner(family.basis, i).array.reshape(4) for i in rows
     ]
-    amplitudes = complex_product(
+    amplitudes = len(rows) ** -0.5 * complex_product(
         kept.T[:, None, None, :], columns.transpose(1, 2, 0), contract=True
     )
-    ket = from_array(KEPT_PAIR + PARTNER_PAIR + J_REGISTER_TWO, 0.5 * amplitudes)
-    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, J_REGISTER_TWO)
-
-
-def _resource(j_register: tuple[int, ...], amplitude: float, labels) -> AuxState:
-    """Resource with ``amplitude`` on each basis component in ``labels``."""
-    register = KEPT_PAIR + PARTNER_PAIR + j_register
-    ket = superpose([(amplitude, basis_ket(register, lab)) for lab in labels])
+    ket = from_array(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes)
     return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, j_register)
 
 
-@functools.cache
+def build_general_aux(family: ProjectorFamily) -> AuxState:
+    """Six-photon resource implementing an arbitrary projector family."""
+    return _resource(family, J_REGISTER_TWO)
+
+
+# Built at import, so no later patch of conjugate_partner reaches them.
+_PARITY_AUX5 = _resource(measurement.parity_family(), J_REGISTER_ONE)
+_PARITY_AUX4 = _resource(measurement.parity_family(), ())
+
+
 def build_parity_aux5() -> AuxState:
-    """Five-photon parity resource, one-photon outcome register; built once."""
-    return _resource(J_REGISTER_ONE, 0.5, ("HHVVH", "VVHHH", "HVVHV", "VHHVV"))
+    """Five-photon parity resource: the parity family on one register photon."""
+    return _PARITY_AUX5
 
 
-@functools.cache
 def build_parity_aux4() -> AuxState:
-    """Four-photon resource keeping only the even-parity branch; built once."""
-    return _resource((), 2.0 ** -0.5, ("HHVV", "VVHH"))
+    """Four-photon filter: the parity family on no register, even rows only."""
+    return _PARITY_AUX4

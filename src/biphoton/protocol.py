@@ -138,13 +138,14 @@ LINEAR_ANALYZER = AnalyzerModel("linear", frozenset(BELL_ORDER[:2]))
 IDEAL_ANALYZER = AnalyzerModel("ideal", frozenset(BELL_ORDER))
 
 
-#: Each mode's accepted Bell pairs, and the weight ``w = c**2`` each carries per
-#: unit of oracle probability: its block of ``T`` is a Pauli-rotated ``c * P_j``.
+#: Each mode's accepted Bell pairs, the weight ``w = c**2`` each carries per unit
+#: of oracle probability (its block of ``T`` is a Pauli-rotated ``c * P_j``) and
+#: its resource, None where it is built from the run's family.
 _PSI_PAIRS = tuple(itertools.product(BELL_ORDER[:2], repeat=2))
 _MODE_TABLE = {
-    "general": (_PSI_PAIRS[:1], 1 / 16),
-    "parity5": (_PSI_PAIRS, 1 / 16),
-    "parity4": (_PSI_PAIRS, 1 / 8),
+    "general": (_PSI_PAIRS[:1], 1 / 16, None),
+    "parity5": (_PSI_PAIRS, 1 / 16, auxprep.build_parity_aux5()),
+    "parity4": (_PSI_PAIRS, 1 / 8, auxprep.build_parity_aux4()),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -152,7 +153,7 @@ MODES = tuple(_MODE_TABLE)
 @functools.cache
 def _accepted_pairs(mode: str, analyzer: AnalyzerModel) -> frozenset:
     """The mode's pairs whose two outcomes the analyzer resolves."""
-    pairs, _ = _MODE_TABLE[mode]
+    pairs, _, _ = _MODE_TABLE[mode]
     return frozenset(p for p in pairs if set(p) <= analyzer.distinguishable)
 
 
@@ -370,13 +371,11 @@ def run_protocol(
     _validate_input(input_state, tol)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode == "general":
+    _, _, aux = _MODE_TABLE[mode]
+    if aux is None:
         aux = auxprep.build_general_aux(family)
     elif not _is_parity(family, tol):
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
-    else:
-        parity5 = mode == "parity5"
-        aux = auxprep.build_parity_aux5() if parity5 else auxprep.build_parity_aux4()
 
     beta = two_photon_vector(input_state)
     residuals = complex_product(_transfer_tensor(aux), beta, contract=True)
@@ -461,7 +460,7 @@ def compare_reports(
     mismatches = []
     shown = oracle.probabilities[: report.probabilities.shape[1]]
     shown_total = functools.reduce(operator.add, shown)
-    _, weight = _MODE_TABLE[report.mode]
+    _, weight, _ = _MODE_TABLE[report.mode]
     got = report.success_probability
     want = weight * len(_accepted_pairs(report.mode, report.analyzer)) * shown_total
     if abs(got - want) > tol:
