@@ -4,8 +4,14 @@ Auxiliary entangled resources for measurement teleportation
 
 The protocol never touches the input pair directly: all the information
 about which projector fired is carried by an auxiliary entangled state.
-This script builds the general-purpose resource for an arbitrary family
-and the two smaller resources specific to the parity measurement.
+Every resource is one formula: over the n basis rows |a^i> whose outcome
+j_i the register can record,
+
+    |X> = n**-0.5 sum_i |a^i>_34 |a^i~>_56 |j_i>
+
+This script builds it for the parity family on three registers: the pair
+(7, 8) (the general six-photon resource), the photon (7,) (five photons)
+and no photon at all (four photons, the even rows only).
 """
 
 from biphoton import (
@@ -34,15 +40,16 @@ print("norm:", norm(aux.ket))
 for label, amp in aux.ket.items():
     print(f"  {label}: {amp.real:+.3f}")
 
-# For parity the outcome is a single bit, so one register photon (7) is
-# enough: five photons total.
+# For parity the outcome is a single bit, so one register photon (7) records
+# it: the same four rows, n = 4, five photons total.
 aux5 = build_parity_aux5()
 print("parity resource photons:", aux5.ket.register)
 for label, amp in aux5.ket.items():
     print(f"  {label}: {amp.real:+.3f}")
 
-# Post-selecting on even parity drops the register photon entirely: the
-# four-photon resource is the even-parity branch of the five-photon one.
+# With no register photon only outcome 0 can be recorded, so only the two
+# even rows are kept (n = 2, amplitude 2**-0.5): the four-photon resource is
+# the even-parity branch of the five-photon one, a filter.
 aux4 = build_parity_aux4()
 print("filter resource photons:", aux4.ket.register)
 for label, amp in aux4.ket.items():

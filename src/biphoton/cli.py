@@ -514,9 +514,15 @@ def emit_report(report: ProtocolReport, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _stderr(kind: str, *messages, code: int = 0) -> int:
+    """Write each message to stderr as ``kind: message``; return ``code``."""
+    for message in messages:
+        print(f"{kind}: {message}", file=sys.stderr)
+    return code
+
+
 def _execute(cfg: RunConfig):
-    for message in cfg.warnings:
-        print(f"warning: {message}", file=sys.stderr)
+    _stderr("warning", *cfg.warnings)
     report = run_protocol(
         cfg.input_state, cfg.family, cfg.mode, cfg.analyzer, cfg.tol
     )
@@ -534,14 +540,11 @@ def _cmd_run(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write report {args.out!r}: {exc}", file=sys.stderr)
-            return 2
+            return _stderr("error", f"cannot write report {args.out!r}: {exc}", code=2)
     else:
         sys.stdout.write(text)
     if not verdict.passed:
-        for mismatch in verdict.mismatches:
-            print(f"mismatch: {mismatch}", file=sys.stderr)
-        return 3
+        return _stderr("mismatch", *verdict.mismatches, code=3)
     return 0
 
 
@@ -552,9 +555,7 @@ def _cmd_verify(args) -> int:
         print("PASS: protocol statistics match the projector oracle")
         return 0
     print("FAIL: protocol statistics do not match the projector oracle")
-    for mismatch in verdict.mismatches:
-        print(f"mismatch: {mismatch}", file=sys.stderr)
-    return 3
+    return _stderr("mismatch", *verdict.mismatches, code=3)
 
 
 def _cmd_families(args) -> int:
@@ -608,11 +609,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _stderr("error", exc, code=2)
     except (ValidationError, DegenerateStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _stderr("error", exc, code=1)
 
 
 if __name__ == "__main__":

@@ -129,6 +129,9 @@ class AnalyzerModel:
     name: str
     distinguishable: frozenset
 
+    def __post_init__(self):  # any iterable; frozen, so _accepted_pairs can cache
+        object.__setattr__(self, "distinguishable", frozenset(self.distinguishable))
+
 
 #: Linear-optics analyzer: only the two Psi states produce distinct
 #: coincidence signatures.
@@ -390,9 +393,11 @@ def run_protocol(
     # pair is one joint state over kept and register photons, scaled by its total.
     accepted = np.array([fix is not None for fix in fixes])[:, None]
     totals = weights.sum(axis=1, keepdims=True)
-    # Rows below ZERO_PROBABILITY carry no state; the floor keeps them finite.
-    scale = np.sqrt(np.maximum(np.where(accepted, weights, totals), ZERO_PROBABILITY))
-    units = residuals.reshape(16, -1, 2, 2) * signs / scale[..., None, None]
+    # A row below ZERO_PROBABILITY carries no state, so its residual is zero.
+    branch_weights = np.where(accepted, weights, totals)[..., None, None]
+    live = branch_weights >= ZERO_PROBABILITY
+    scale = np.sqrt(np.where(live, branch_weights, 1.0))
+    units = np.where(live, residuals.reshape(16, -1, 2, 2) * signs / scale, 0)
     first = np.arange(weights.shape[1]) == 0  # where an unaccepted pair's total goes
     probabilities = np.where(accepted, weights, totals * first)
     probabilities.flags.writeable = False

@@ -14,6 +14,7 @@ from biphoton.protocol import (
     IDEAL_ANALYZER,
     LINEAR_ANALYZER,
     MODES,
+    ZERO_PROBABILITY,
     compare_reports,
     oracle_report,
     run_protocol,
@@ -127,3 +128,21 @@ def test_emission_order_does_not_change_bytes():
         assert json_first == csv_first[::-1]
         # A second emission reuses the formatted numbers and matches too.
         assert emit_report(a, "json") == json_first[0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER], ids=lambda a: a.name
+)
+def test_rows_below_zero_probability_carry_no_state(mode, analyzer):
+    # The odd weight is 9e-14: in parity5 the odd rows weigh 5.6e-15 and used
+    # to hold a 0.075 amplitude, scaled by the probability floor.
+    vec = np.array([1, 3e-7, 0, 0]) / np.hypot(1, 3e-7)
+    beta = ket_from_vector((1, 2), vec)
+    report = run_protocol(beta, parity_family(), mode, analyzer)
+    zero = report.probabilities < ZERO_PROBABILITY
+    for k, fix in enumerate(report.corrections):
+        if fix is None:  # one branch, its probability in column 0
+            zero[k] = zero[k, 0]
+    assert zero.any()
+    assert (report.residuals[zero] == 0).all()

@@ -1,11 +1,18 @@
 """Tests for Bell analysis, exhaustive branch enumeration, corrections and
 the projector-algebra oracle."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import biphoton.auxprep as auxprep
 import biphoton.protocol as protocol
+from biphoton.cli import emit_report
 from biphoton.measurement import (
     apply_projector,
     family_from_assignment,
@@ -421,6 +428,60 @@ def test_transfer_tensor_conserves_probability_for_every_input():
         np.testing.assert_allclose(gram, np.eye(4), rtol=0, atol=1e-12)
 
 
+#: The Pauli byproduct each Bell outcome teleports, sigma = (I, Z, X, XZ).
+PAULI = {
+    PSI_PLUS: np.eye(2),
+    PSI_MINUS: np.diag([1.0, -1.0]),
+    PHI_PLUS: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    PHI_MINUS: np.array([[0.0, -1.0], [1.0, 0.0]]),
+}
+
+
+def closed_form_transfer(family, readings):
+    """``T[b15, b26, r] = c P_r (sigma_b15 (x) sigma_b26)`` and its ``c``, from the
+    projectors alone: ``c = 1/(2 sqrt(n))`` over the ``n`` basis rows whose
+    outcome is below ``readings``, and readings ``r >= J`` are zero."""
+    n = int((family.assignment.argmax(axis=1) < readings).sum())
+    c = 1 / (2 * np.sqrt(n))
+    t = np.zeros((4, 4, readings, 4, 4), dtype=complex)
+    for a, b15 in enumerate(BELL_ORDER):
+        for b, b26 in enumerate(BELL_ORDER):
+            byproduct = np.kron(PAULI[b15], PAULI[b26])
+            for r in range(min(readings, family.n_outcomes)):
+                t[a, b, r] = c * family.projectors[r] @ byproduct
+    return c, t
+
+
+def _mode_resources():
+    """(mode, family, resource): both parity resources, and the general one
+    of the parity family and of 25 Haar families for each J = 1..4."""
+    yield "parity5", parity_family(), auxprep.build_parity_aux5()
+    yield "parity4", parity_family(), auxprep.build_parity_aux4()
+    yield "general", parity_family(), auxprep.build_general_aux(parity_family())
+    rng = np.random.default_rng(1500)
+    for n_outcomes in (1, 2, 3, 4):
+        for _ in range(25):
+            family = family_from_assignment(
+                random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+            )
+            yield "general", family, auxprep.build_general_aux(family)
+
+
+def test_transfer_tensor_has_its_closed_form():
+    scales = {}
+    for mode, family, aux in _mode_resources():
+        c, want = closed_form_transfer(family, 2 ** len(aux.j_register))
+        got = protocol._transfer_tensor(aux)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+        assert (got[:, :, family.n_outcomes :] == 0).all()
+        scales.setdefault(mode, set()).add(c)
+    # One c per mode, and the mode table's weight is its square.
+    for mode in MODES:
+        (c,) = scales[mode]
+        assert protocol._MODE_TABLE[mode][1] == pytest.approx(c**2, rel=1e-15)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
 def test_contraction_bytes_ignore_layout_and_batch_shape(mode, analyzer):
@@ -728,6 +789,23 @@ def test_restricted_analyzers_pass_the_oracle(mode, analyzer, pair_weight):
         assert verdict.passed, verdict.mismatches
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_analyzer_takes_any_iterable_of_outcomes(mode):
+    beta = input_ket(random_unit_vector(np.random.default_rng(1350)))
+    family = parity_family()
+    outcomes = [PSI_PLUS, PSI_MINUS]
+    runs = []
+    for kind in (set, list, frozenset):
+        analyzer = AnalyzerModel("psi", kind(outcomes))
+        assert analyzer.distinguishable == frozenset(outcomes)
+        report = run_protocol(beta, family, mode=mode, analyzer=analyzer)
+        verdict = compare_reports(report, oracle_report(beta, family))
+        texts = emit_report(report, "json"), emit_report(report, "csv")
+        runs.append((texts, verdict))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][1].passed
+
+
 def test_compare_reports_flags_a_misnormalized_resource(monkeypatch):
     healthy = auxprep.conjugate_partner
 
@@ -748,6 +826,48 @@ def test_compare_reports_flags_a_misnormalized_resource(monkeypatch):
         verdict = compare_reports(report, oracle_report(beta, family))
         assert not verdict.passed
         assert verdict.mismatches[0].startswith("success probability 0.06375")
+
+
+PATCHED_AFTER_IMPORT = """
+import json
+
+import biphoton
+from biphoton import auxprep
+from biphoton.measurement import ket_from_vector, parity_family
+from biphoton.protocol import MODES, compare_reports, oracle_report, run_protocol
+from biphoton.statevec import superpose
+
+healthy = auxprep.conjugate_partner
+auxprep.conjugate_partner = lambda basis, i, register=auxprep.PARTNER_PAIR: (
+    superpose([(1.01, healthy(basis, i, register))])
+)
+beta = ket_from_vector((1, 2), [0.5, 0.5j, -0.5, 0.5])
+verdicts = {}
+for mode in MODES:
+    report = run_protocol(beta, parity_family(), mode=mode)
+    oracle = oracle_report(beta, parity_family())
+    verdicts[mode] = compare_reports(report, oracle).passed
+resources = [build().ket.array.tobytes().hex()
+             for build in (auxprep.build_parity_aux5, auxprep.build_parity_aux4)]
+print(json.dumps({"verdicts": verdicts, "resources": resources}))
+"""
+
+
+def test_parity_resources_are_immune_to_a_later_partner_patch():
+    # The parity resources are built when biphoton is imported, so a partner
+    # patched right after that import reaches only the general resource.
+    src = Path(auxprep.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", PATCHED_AFTER_IMPORT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    out = json.loads(result.stdout)
+    assert out["verdicts"] == {"general": False, "parity5": True, "parity4": True}
+    assert out["resources"] == [
+        build().ket.array.tobytes().hex()
+        for build in (auxprep.build_parity_aux5, auxprep.build_parity_aux4)
+    ]
 
 
 def test_compare_reports_flags_a_permuted_oracle_distribution():
