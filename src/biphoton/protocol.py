@@ -141,14 +141,27 @@ LINEAR_ANALYZER = AnalyzerModel("linear", frozenset(BELL_ORDER[:2]))
 IDEAL_ANALYZER = AnalyzerModel("ideal", frozenset(BELL_ORDER))
 
 
+def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
+    """``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized
+    kept-pair residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6)
+    (BELL_ORDER indices) and reading ``r``; read-only, shape (4, 4, R, 4, 4).
+    """
+    resource = aux.ket.array.reshape(4, 4, -1)  # (kept, partners, r)
+    # Each bra row has one nonzero entry: every element is one rounded product.
+    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
+    t.flags.writeable = False  # and so every view of it
+    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
+
+
 #: Each mode's accepted Bell pairs, the weight ``w = c**2`` each carries per unit
-#: of oracle probability (its block of ``T`` is a Pauli-rotated ``c * P_j``) and
-#: its resource, None where it is built from the run's family.
+#: of oracle probability (its block of ``T`` is a Pauli-rotated ``c * P_j``), its
+#: ``T`` (None where built from the run's family) and its register photons.
 _PSI_PAIRS = tuple(itertools.product(BELL_ORDER[:2], repeat=2))
+_PARITY5, _PARITY4 = auxprep.build_parity_aux5(), auxprep.build_parity_aux4()
 _MODE_TABLE = {
-    "general": (_PSI_PAIRS[:1], 1 / 16, None),
-    "parity5": (_PSI_PAIRS, 1 / 16, auxprep.build_parity_aux5()),
-    "parity4": (_PSI_PAIRS, 1 / 8, auxprep.build_parity_aux4()),
+    "general": (_PSI_PAIRS[:1], 1 / 16, None, auxprep.J_REGISTER_TWO),
+    "parity5": (_PSI_PAIRS, 1 / 16, _transfer_tensor(_PARITY5), _PARITY5.j_register),
+    "parity4": (_PSI_PAIRS, 1 / 8, _transfer_tensor(_PARITY4), _PARITY4.j_register),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -156,8 +169,36 @@ MODES = tuple(_MODE_TABLE)
 @functools.cache
 def _accepted_pairs(mode: str, analyzer: AnalyzerModel) -> frozenset:
     """The mode's pairs whose two outcomes the analyzer resolves."""
-    pairs, _, _ = _MODE_TABLE[mode]
+    pairs = _MODE_TABLE[mode][0]
     return frozenset(p for p in pairs if set(p) <= analyzer.distinguishable)
+
+
+@functools.cache
+def _accepted_rows(mode: str, analyzer: AnalyzerModel) -> tuple:
+    """The ``_PAIRS`` rows of ``_accepted_pairs``, and their (16, 1) mask."""
+    accepts = _accepted_pairs(mode, analyzer)
+    rows = tuple(k for k, pair in enumerate(_PAIRS) if pair in accepts)
+    mask = np.isin(np.arange(16), rows)[:, None]
+    mask.flags.writeable = False
+    return rows, mask
+
+
+#: General-mode ``T``s keyed by family content and the partner rule they were
+#: built with, oldest first; a new key evicts the oldest beyond the bound.
+_T_CACHE_SIZE = 32
+_T_CACHE: dict = {}
+
+
+def _general_transfer(family: ProjectorFamily) -> np.ndarray:
+    """``T`` of ``family``'s general resource, built once per content and partner."""
+    key = (family.basis.states.tobytes(), family.assignment.tobytes(),
+           family.assignment.shape, auxprep.conjugate_partner)
+    t = _T_CACHE.get(key)
+    if t is None:
+        t = _T_CACHE[key] = _transfer_tensor(auxprep.build_general_aux(family))
+        if len(_T_CACHE) > _T_CACHE_SIZE:
+            del _T_CACHE[next(iter(_T_CACHE))]
+    return t
 
 
 _GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
@@ -345,17 +386,6 @@ def _validate_input(input_state: Ket, tol: float) -> None:
         )
 
 
-def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
-    """``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized
-    kept-pair residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6)
-    (BELL_ORDER indices) and register reading ``r``; shape (4, 4, R, 4, 4).
-    """
-    resource = aux.ket.array.reshape(4, 4, -1)  # (kept, partners, r)
-    # Each bra row has one nonzero entry: every element is one rounded product.
-    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
-    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
-
-
 def run_protocol(
     input_state: Ket,
     family: ProjectorFamily,
@@ -374,24 +404,23 @@ def run_protocol(
     _validate_input(input_state, tol)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    _, _, aux = _MODE_TABLE[mode]
-    if aux is None:
-        aux = auxprep.build_general_aux(family)
+    _, _, t, j_register = _MODE_TABLE[mode]
+    if t is None:
+        t = _general_transfer(family)
     elif not _is_parity(family, tol):
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
 
     beta = two_photon_vector(input_state)
-    residuals = complex_product(_transfer_tensor(aux), beta, contract=True)
+    residuals = complex_product(t, beta, contract=True)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
-    accepts = _accepted_pairs(mode, analyzer)
-    fixes, signs = [], np.ones((16, 1, 2, 2))
-    for k, pair in enumerate(_PAIRS):
-        fixes.append(corrections_for(pair) if pair in accepts else None)
-        for correction in fixes[-1] or ():
+    rows, accepted = _accepted_rows(mode, analyzer)
+    fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
+    for k in rows:  # CORRECTIONS is read on every call
+        fixes[k] = corrections_for(_PAIRS[k])
+        for correction in fixes[k]:
             signs[k] *= _SIGN_MASKS[correction]
     # An accepted pair splits into one unit residual per reading; any other
     # pair is one joint state over kept and register photons, scaled by its total.
-    accepted = np.array([fix is not None for fix in fixes])[:, None]
     totals = weights.sum(axis=1, keepdims=True)
     # A row below ZERO_PROBABILITY carries no state, so its residual is zero.
     branch_weights = np.where(accepted, weights, totals)[..., None, None]
@@ -421,7 +450,7 @@ def run_protocol(
         analyzer=analyzer,
         input_state=input_state,
         family=family,
-        j_register=aux.j_register,
+        j_register=j_register,
         corrections=tuple(fixes),
         probabilities=probabilities,
         residuals=_prune(units),
@@ -465,7 +494,7 @@ def compare_reports(
     mismatches = []
     shown = oracle.probabilities[: report.probabilities.shape[1]]
     shown_total = functools.reduce(operator.add, shown)
-    _, weight, _ = _MODE_TABLE[report.mode]
+    weight = _MODE_TABLE[report.mode][1]
     got = report.success_probability
     want = weight * len(_accepted_pairs(report.mode, report.analyzer)) * shown_total
     if abs(got - want) > tol:
