@@ -19,10 +19,11 @@ Numeric policy, followed by every module:
   input with ``norm**2`` below it is rejected; totals still add it;
 * agreement: two values agree when no component differs by more than the
   caller's ``tol``, or by ``DEFAULT_TOL`` when there is none;
-* rounding: complex products that reach a report (``tensor``, the general
-  resource, the residual contraction) and the projectors go through
-  ``complex_product``: real arithmetic, terms added in index order, so no bit
-  depends on layout or batch shape; the oracle and reference helpers do not.
+* rounding: complex products that reach a report (the general resource, the
+  residual contraction) and the projectors go through ``complex_product``:
+  real arithmetic, terms added in index order, so no bit depends on layout or
+  batch shape.  ``tensor`` uses it too, though no run calls it; the oracle
+  and the other reference helpers do not.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ hashes emit the same bytes on those ops.  Run from the repository root:
 
     PYTHONPATH=src python tests/stream_hashes.py
 
+It prints every hash and exits 1, naming each workload whose hash differs
+from its pin in ``PINNED``.  Update a pin only when a change to report bytes
+is intended.
+
 pytest does not collect this file; it only reads ``benchmarks/workloads.py``.
 """
 
@@ -24,7 +28,12 @@ import workloads  # noqa: E402
 
 OPS = 300
 SEEDS = (1, 2)
-WORKLOADS = ("verify_shared", "run_fresh", "cli_cold")
+#: The hashes of the current report bytes, by workload.
+PINNED = {
+    "verify_shared": "919f0ec25b8c6587e6e15ba84c3ff10cb212c51cd8a88957fd56bda969f6c83f",
+    "run_fresh": "bc88a25e83d067cf11a8eafade655171bdb0ef5973b08c7e4e5bd655a1184715",
+    "cli_cold": "f9a9b949d9233f40c2744bcc2692558f30aa6af903275c0d5ea779c4ba77fb4b",
+}
 
 
 def stream_sha256(workload: str) -> str:
@@ -42,5 +51,12 @@ def stream_sha256(workload: str) -> str:
 
 
 if __name__ == "__main__":
-    for name in WORKLOADS:
-        print(name, stream_sha256(name))
+    differ = []
+    for name, pinned in PINNED.items():
+        digest = stream_sha256(name)
+        print(name, digest)
+        if digest != pinned:
+            differ.append(name)
+    if differ:
+        print("bytes differ from the pin on: " + ", ".join(differ), file=sys.stderr)
+        sys.exit(1)

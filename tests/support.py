@@ -7,8 +7,10 @@ package's state algebra (``src/`` does not import this module).
 Conventions match the package only at the level of published definitions
 (component order HH, HV, VH, VV; photon axes in register order).
 
-The last section keeps the generic JSON tree renderer the CLI once used,
-as the reference for the report layout the CLI's own writer must match.
+The last sections keep the generic JSON tree renderer the CLI once used,
+as the reference for the report layout the CLI's own writer must match,
+and the walk over every branch record that ``compare_reports`` once made,
+as the reference for its per-branch mismatch texts and their order.
 """
 
 import json
@@ -189,3 +191,32 @@ def _render(value, indent: int = 0) -> str:
         rendered = [f"{pad}  {_render(item, indent + 1)}" for item in items]
         return "[\n" + ",\n".join(rendered) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# reference branch walk
+# ---------------------------------------------------------------------------
+
+
+def branch_walk_mismatches(report, oracle, tol):
+    """``compare_reports``' per-branch mismatch texts, from every record of
+    ``report.branches`` in order, each success one against the oracle state."""
+    from biphoton.statevec import phase_equal
+
+    texts = []
+    for index, branch in enumerate(report.branches):
+        if not branch.is_success:
+            continue
+        target = oracle.states[branch.j]
+        if target is None:
+            texts.append(
+                f"branch {index} succeeds with outcome {branch.j}, "
+                "which the oracle rules out"
+            )
+        elif not phase_equal(branch.residual, target, tol=tol):
+            texts.append(
+                f"branch {index} ({branch.bell15.value}, {branch.bell26.value}"
+                f", outcome {branch.j}): residual differs from the projected "
+                "input beyond global phase"
+            )
+    return texts

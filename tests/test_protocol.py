@@ -54,6 +54,7 @@ from biphoton.statevec import (
 from support import (
     BASIS_LABELS,
     BELL_VECTORS,
+    branch_walk_mismatches,
     contract,
     dense_from_ket,
     dense_general_aux,
@@ -1006,3 +1007,105 @@ def test_oracle_matches_projecting_one_outcome_at_a_time():
             assert norm(state) == pytest.approx(1.0, abs=1e-15)
             target = ket_from_vector((3, 4), two_photon_vector(image))
             assert phase_equal(state, normalize(target), tol=1e-15)
+
+
+def test_analyzer_rejects_outcomes_that_are_not_bell_outcomes():
+    # Outcome names are not outcomes: such an analyzer would accept no pair.
+    with pytest.raises(ValidationError, match="'typo'.*got 'PsiMinus', 'PsiPlus'$"):
+        AnalyzerModel("typo", {"PsiPlus", "PsiMinus"})
+    with pytest.raises(ValidationError, match="got 'PsiMinus'$"):
+        AnalyzerModel("mixed", [PSI_PLUS, "PsiMinus"])
+
+
+# ---------------------------------------------------------------------------
+# compare_reports against the walk over every branch record
+# ---------------------------------------------------------------------------
+
+ANALYZERS = (LINEAR_ANALYZER, IDEAL_ANALYZER, ONLY_PSI_PLUS, ONLY_PSI_MINUS)
+
+
+def assert_walk_agrees(report, oracle, tol=DEFAULT_TOL):
+    """``compare_reports`` gives the whole-run mismatches first and then
+    exactly the reference walk's per-branch ones, in its order."""
+    mismatches = compare_reports(report, oracle, tol).mismatches
+    walked = tuple(branch_walk_mismatches(report, oracle, tol))
+    head = mismatches[: len(mismatches) - len(walked)]
+    assert mismatches == head + walked
+    assert not any(text.startswith("branch ") for text in head)
+    return len(walked)
+
+
+def _random_runs(seed):
+    """(report, beta, family) over every mode and analyzer, general mode on
+    the parity family and on Haar families with J = 1..4."""
+    rng = np.random.default_rng(seed)
+    for analyzer in ANALYZERS:
+        families = [("parity5", parity_family()), ("parity4", parity_family())]
+        families.append(("general", parity_family()))
+        families += [
+            ("general", family_from_assignment(
+                random_orthonormal_basis(rng), random_assignment(rng, j)
+            ))
+            for j in (1, 2, 3, 4)
+        ]
+        for mode, family in families:
+            beta = input_ket(random_unit_vector(rng))
+            yield run_protocol(beta, family, mode, analyzer), beta, family, rng
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compare_reports_walks_only_the_accepted_rows(seed):
+    branch_texts = 0
+    for report, beta, family, rng in _random_runs([1600, seed]):
+        assert_walk_agrees(report, oracle_report(beta, family))
+        # The oracle of another input mismatches many branches, by index.
+        other = oracle_report(input_ket(random_unit_vector(rng)), family)
+        branch_texts += assert_walk_agrees(report, other)
+    assert branch_texts > 0
+
+
+def test_compare_reports_walk_agrees_under_the_negative_controls(monkeypatch):
+    rng = np.random.default_rng(1700)
+    betas = [input_ket(random_unit_vector(rng)) for _ in range(5)]
+    family = parity_family()
+    broken = {
+        "dropped": (protocol.CORRECTIONS, (PSI_PLUS, PSI_MINUS), ()),
+        "spurious": (protocol.CORRECTIONS, (PSI_PLUS, PSI_PLUS), ((4, "Z"),)),
+    }
+    for name, (table, key, value) in broken.items():
+        with monkeypatch.context() as patch:
+            patch.setitem(table, key, value)
+            for analyzer in (LINEAR_ANALYZER, IDEAL_ANALYZER):
+                texts = 0
+                for beta in betas:
+                    oracle = oracle_report(beta, family)
+                    for mode in MODES:
+                        report = run_protocol(beta, family, mode, analyzer)
+                        texts += assert_walk_agrees(report, oracle)
+                assert texts > 0, name
+
+    def conjugate_only(basis, i, register=auxprep.PARTNER_PAIR):
+        return ket_from_vector(register, basis.states[i].conj())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(auxprep, "conjugate_partner", conjugate_only)
+        texts = sum(
+            assert_walk_agrees(
+                run_protocol(beta, family, "general"), oracle_report(beta, family)
+            )
+            for beta in betas
+        )
+        assert texts > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
+def test_compare_reports_walk_agrees_where_the_oracle_rules_out(mode, analyzer):
+    beta = input_ket(np.array([0.6, 0.8j, 0.0, 0.0]))
+    report = run_protocol(beta, parity_family(), mode, analyzer)
+    oracle = oracle_report(beta, parity_family())
+    for states in ((None, oracle.states[1]), (oracle.states[0], None), (None, None)):
+        blind = protocol.OracleStatistics(oracle.probabilities, states)
+        assert_walk_agrees(report, blind)
+    blind = protocol.OracleStatistics(oracle.probabilities, (None, oracle.states[1]))
+    assert assert_walk_agrees(report, blind) > 0

@@ -1,0 +1,174 @@
+"""The transfer tensors ``run_protocol`` builds once: the parity modes' at
+import, general mode's in a bounded cache keyed by family content and by the
+partner rule looked up at call time.  No cached tensor may move a report
+byte, and a patch of ``auxprep.conjugate_partner`` or of ``CORRECTIONS`` must
+still reach every run after the cache is warm."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import biphoton.auxprep as auxprep
+import biphoton.protocol as protocol
+from biphoton.cli import emit_report, load_config
+from biphoton.measurement import family_from_assignment, ket_from_vector, parity_family
+from biphoton.protocol import (
+    BellOutcome,
+    compare_reports,
+    oracle_report,
+    run_protocol,
+)
+
+from support import random_assignment, random_orthonormal_basis, random_unit_vector
+
+PSI_PLUS = BellOutcome.PSI_PLUS
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    protocol._T_CACHE.clear()
+    yield
+    protocol._T_CACHE.clear()
+
+
+def betas(seed, count=20):
+    rng = np.random.default_rng(seed)
+    return [ket_from_vector((1, 2), random_unit_vector(rng)) for _ in range(count)]
+
+
+def general_failures(inputs):
+    family = parity_family()
+    return sum(
+        not compare_reports(
+            run_protocol(beta, family, "general"), oracle_report(beta, family)
+        ).passed
+        for beta in inputs
+    )
+
+
+def report_bytes(inputs, family, mode="general"):
+    reports = [run_protocol(beta, family, mode) for beta in inputs]
+    return [emit_report(report, fmt) for report in reports for fmt in ("json", "csv")]
+
+
+def conjugate_only(basis, i, register=auxprep.PARTNER_PAIR):
+    """A partner without the polarization flip."""
+    return ket_from_vector(register, basis.states[i].conj())
+
+
+def test_a_partner_patch_misses_a_warm_cache(monkeypatch):
+    inputs = betas(88)
+    assert general_failures(inputs) == 0  # warms the cache on the parity family
+    warm = protocol._general_transfer(parity_family())
+    with monkeypatch.context() as patch:
+        patch.setattr(auxprep, "conjugate_partner", conjugate_only)
+        assert general_failures(inputs) > 0
+    # Restored, the healthy entry serves again, and it is what a cold run builds.
+    assert protocol._general_transfer(parity_family()) is warm
+    warm_bytes = report_bytes(inputs, parity_family())
+    protocol._T_CACHE.clear()
+    assert report_bytes(inputs, parity_family()) == warm_bytes
+
+
+def test_a_spurious_correction_reaches_a_warm_general_run(monkeypatch):
+    inputs = betas(89)
+    assert general_failures(inputs) == 0
+    monkeypatch.setitem(protocol.CORRECTIONS, (PSI_PLUS, PSI_PLUS), ((4, "Z"),))
+    assert general_failures(inputs) > 0
+
+
+def test_the_cache_keys_on_family_content():
+    rng = np.random.default_rng(1800)
+    basis, table = random_orthonormal_basis(rng), random_assignment(rng, 3)
+    first = protocol._general_transfer(family_from_assignment(basis, table))
+    same = family_from_assignment(basis.copy(), table.copy())
+    assert protocol._general_transfer(same) is first
+    assert len(protocol._T_CACHE) == 1
+
+    nudged = basis.copy()
+    nudged[2, 1] = np.nextafter(nudged[2, 1].real, 2.0) + 1j * nudged[2, 1].imag
+    other_table = np.roll(table, 1, axis=1)
+    for family in (
+        family_from_assignment(nudged, table),
+        family_from_assignment(basis, other_table),
+    ):
+        assert protocol._general_transfer(family) is not first
+    assert len(protocol._T_CACHE) == 3
+
+
+def _fresh(mode, family):
+    build = {
+        "general": lambda: auxprep.build_general_aux(family),
+        "parity5": auxprep.build_parity_aux5,
+        "parity4": auxprep.build_parity_aux4,
+    }[mode]
+    return protocol._transfer_tensor(build())
+
+
+def _cached(mode, family):
+    table_t = protocol._MODE_TABLE[mode][2]
+    return protocol._general_transfer(family) if table_t is None else table_t
+
+
+def test_cached_tensors_are_read_only_and_equal_a_fresh_build():
+    rng = np.random.default_rng(1900)
+    cases = [(mode, parity_family()) for mode in protocol.MODES]
+    cases += [
+        ("general", family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, j)
+        ))
+        for j in (1, 2, 3, 4)
+    ]
+    for mode, family in cases:
+        cached = _cached(mode, family)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0, 0, 0, 0] = 1.0
+        fresh = _fresh(mode, family)
+        assert cached.strides == fresh.strides
+        assert np.array_equal(
+            np.ascontiguousarray(cached).view(float),
+            np.ascontiguousarray(fresh).view(float),
+        )
+
+
+def test_the_cache_holds_no_more_than_its_bound():
+    rng = np.random.default_rng(2000)
+    beta = ket_from_vector((1, 2), random_unit_vector(rng))
+    for _ in range(200):
+        n_outcomes = int(rng.integers(1, 5))
+        family = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+        run_protocol(beta, family, "general")
+        assert len(protocol._T_CACHE) <= protocol._T_CACHE_SIZE
+    assert len(protocol._T_CACHE) == protocol._T_CACHE_SIZE
+    assert protocol._general_transfer(family) is protocol._general_transfer(family)
+
+
+def test_verify_shared_bytes_do_not_depend_on_a_warm_cache(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as is
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    source = workloads.stream("verify_shared", 1, workloads.TIMED)
+    configs = [load_config(source.op(index).config) for index in range(40)]
+
+    def emitted(clear_each):
+        texts = []
+        for cfg in configs:
+            if clear_each:
+                protocol._T_CACHE.clear()
+            report = run_protocol(
+                cfg.input_state, cfg.family, cfg.mode, cfg.analyzer, cfg.tol
+            )
+            texts += [emit_report(report, "json"), emit_report(report, "csv")]
+        return texts
+
+    cold = emitted(clear_each=True)
+    protocol._T_CACHE.clear()
+    assert emitted(clear_each=False) == cold
+    assert 0 < len(protocol._T_CACHE) < len(configs)  # the warm pass hit
