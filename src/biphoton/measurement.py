@@ -74,7 +74,7 @@ class ProjectorFamily:
 
     basis: TwoPhotonBasis
     assignment: np.ndarray  # (4, J) binary
-    projectors: tuple[np.ndarray, ...]  # J arrays of shape (4, 4)
+    projectors: np.ndarray  # (J, 4, 4) read-only: P_j is projectors[j]
 
     @property
     def n_outcomes(self) -> int:
@@ -136,7 +136,7 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     # products rounded as complex_product rounds them make P_j exactly Hermitian.
     weighted = table.T[:, None, None, :] * a[None, :, None, :]
     projectors = _frozen(complex_product(weighted, a.conj(), contract=True))
-    return ProjectorFamily(basis, table, tuple(projectors))
+    return ProjectorFamily(basis, table, projectors)
 
 
 @functools.cache

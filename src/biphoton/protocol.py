@@ -28,7 +28,7 @@ read-only: the parity modes' at import, from the import-time parity
 resources; general mode's in a cache of at most ``_T_CACHE_SIZE`` entries,
 keyed by the exact basis and assignment bytes and by the
 ``auxprep.conjugate_partner`` found at call time.  Each (mode, analyzer)
-caches its accepted rows.  Every call reads ``CORRECTIONS`` for those rows.
+caches its branch table.  Every call reads ``CORRECTIONS`` for its rows.
 """
 
 from __future__ import annotations
@@ -188,13 +188,19 @@ def _accepted_pairs(mode: str, analyzer: AnalyzerModel) -> frozenset:
 
 
 @functools.cache
-def _accepted_rows(mode: str, analyzer: AnalyzerModel) -> tuple:
-    """The ``_PAIRS`` rows of ``_accepted_pairs``, and their (16, 1) mask."""
+def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
+    """Where a (mode, analyzer) report's branches sit, positions only: the
+    ``_PAIRS`` rows of ``_accepted_pairs`` and their (16, 1) mask, every branch
+    in report order as ``(k, j)`` (``j`` None where pair ``k`` is one branch),
+    and each branch of those rows as ``(branch index, k, j)``."""
     accepts = _accepted_pairs(mode, analyzer)
     rows = tuple(k for k, pair in enumerate(_PAIRS) if pair in accepts)
     mask = np.isin(np.arange(16), rows)[:, None]
     mask.flags.writeable = False
-    return rows, mask
+    js = range(2 ** len(_MODE_TABLE[mode][3]))  # one per register reading
+    branches = tuple((k, j) for k in range(16) for j in (js if k in rows else [None]))
+    cells = tuple((i, k, j) for i, (k, j) in enumerate(branches) if j is not None)
+    return rows, mask, branches, cells
 
 
 #: General-mode ``T``s keyed by family content and the partner rule they were
@@ -317,22 +323,20 @@ class ProtocolReport:
         # Views of each pair's residuals as one state, the reading axis last.
         joint = (16,) + (2,) * (len(KEPT_PAIR) + len(self.j_register))
         joint_states = self.residuals.transpose(0, 2, 3, 1).reshape(joint)
-        rows = zip(_PAIRS, self.corrections, self.probabilities.tolist())
-        for k, ((b15, b26), fix, probabilities) in enumerate(rows):
-            if fix is None:  # one branch, its probability in column 0
-                p = probabilities[0]
-                if p < ZERO_PROBABILITY:
-                    yield b15, b26, None, p, (), "zero", None, None
-                else:
-                    yield b15, b26, None, p, (), "inconclusive", None, joint_states[k]
-                continue
-            kind = "correctable" if fix else "success"
-            for j, p in enumerate(probabilities):
-                if p < ZERO_PROBABILITY:
-                    yield b15, b26, readings[j] or None, p, fix, "zero", None, None
-                else:
-                    residual = self.residuals[k, j]
-                    yield b15, b26, readings[j] or None, p, fix, kind, j, residual
+        probabilities = self.probabilities.tolist()
+        _, _, branches, _ = _branch_table(self.mode, self.analyzer)
+        for k, j in branches:
+            b15, b26 = _PAIRS[k]
+            if j is None:  # one branch, its probability in column 0
+                p, reading, fix, kind = probabilities[k][0], None, (), "inconclusive"
+            else:
+                p, reading, fix = probabilities[k][j], readings[j], self.corrections[k]
+                kind = "correctable" if fix else "success"
+            if p < ZERO_PROBABILITY:
+                yield b15, b26, reading or None, p, fix, "zero", None, None
+            else:
+                state = joint_states[k] if j is None else self.residuals[k, j]
+                yield b15, b26, reading or None, p, fix, kind, j, state
 
     @functools.cached_property
     def branches(self) -> tuple:
@@ -370,7 +374,7 @@ _PARITY = measurement.parity_family()
 
 def _is_parity(family: ProjectorFamily, tol: float) -> bool:
     return family.n_outcomes == 2 and bool(
-        np.abs(np.subtract(family.projectors, _PARITY.projectors)).max() <= tol
+        np.abs(family.projectors - _PARITY.projectors).max() <= tol
     )
 
 
@@ -427,7 +431,7 @@ def run_protocol(
     beta = two_photon_vector(input_state)
     residuals = complex_product(t, beta, contract=True)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
-    rows, accepted = _accepted_rows(mode, analyzer)
+    rows, accepted, branches, _ = _branch_table(mode, analyzer)
     fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
     for k in rows:  # CORRECTIONS is read on every call
         fixes[k] = corrections_for(_PAIRS[k])
@@ -448,12 +452,12 @@ def run_protocol(
     # Totals add every row in branch order, readings j >= J (weight 0) included.
     per_outcome = [0.0] * max(family.n_outcomes, probabilities.shape[1])
     inconclusive_probability = 0.0
-    for fix, row in zip(fixes, probabilities.tolist()):
-        if fix is None:
-            inconclusive_probability += row[0]
-            continue
-        for j, probability in enumerate(row):
-            per_outcome[j] += probability
+    values = probabilities.tolist()
+    for k, j in branches:
+        if j is None:
+            inconclusive_probability += values[k][0]
+        else:
+            per_outcome[j] += values[k][j]
     # Strictly left to right: from Python 3.12 the builtin sum compensates.
     success_probability = functools.reduce(operator.add, per_outcome)
     conditional = [0.0] * family.n_outcomes
@@ -483,7 +487,7 @@ def oracle_report(
     can be compared directly with teleported residuals.
     """
     _validate_input(input_state, tol)
-    images = np.asarray(family.projectors) @ two_photon_vector(input_state)
+    images = family.projectors @ two_photon_vector(input_state)
     probabilities = (images.real**2 + images.imag**2).sum(axis=1)
     live = probabilities >= ZERO_PROBABILITY
     units = _prune(images / np.sqrt(np.where(live, probabilities, 1.0))[:, None])
@@ -509,7 +513,7 @@ def compare_reports(
     shown = oracle.probabilities[: report.probabilities.shape[1]]
     shown_total = functools.reduce(operator.add, shown)
     weight = _MODE_TABLE[report.mode][1]
-    rows, _ = _accepted_rows(report.mode, report.analyzer)
+    rows, _, _, cells = _branch_table(report.mode, report.analyzer)
     got = report.success_probability
     want = weight * len(rows) * shown_total
     if abs(got - want) > tol:
@@ -523,27 +527,21 @@ def compare_reports(
                     f"report {got:.12g} vs oracle {want:.12g}"
                 )
 
-    readings = report.probabilities.shape[1]
-    # Only accepted rows hold successes; row k's branches follow k - n
-    # one-branch rows and n accepted rows of one branch per reading.
-    for n, (k, row) in enumerate(zip(rows, report.probabilities[list(rows)].tolist())):
-        for j, p in enumerate(row):
-            if p < ZERO_PROBABILITY:
-                continue
-            index = k + (readings - 1) * n + j
-            target = oracle.states[j]
-            if target is None:
-                mismatches.append(
-                    f"branch {index} succeeds with outcome {j}, "
-                    "which the oracle rules out"
-                )
-                continue
-            residual = Ket(KEPT_PAIR, report.residuals[k, j])
-            if not phase_equal(residual, target, tol=tol):
-                b15, b26 = _PAIRS[k]
-                mismatches.append(
-                    f"branch {index} ({b15.value}, {b26.value}"
-                    f", outcome {j}): residual differs from the projected "
-                    "input beyond global phase"
-                )
+    probabilities = report.probabilities.tolist()
+    for index, k, j in cells:  # only accepted rows hold successes
+        if probabilities[k][j] < ZERO_PROBABILITY:
+            continue
+        target = oracle.states[j]
+        if target is None:
+            mismatches.append(
+                f"branch {index} succeeds with outcome {j}, "
+                "which the oracle rules out"
+            )
+        elif not phase_equal(Ket(KEPT_PAIR, report.residuals[k, j]), target, tol=tol):
+            b15, b26 = _PAIRS[k]
+            mismatches.append(
+                f"branch {index} ({b15.value}, {b26.value}"
+                f", outcome {j}): residual differs from the projected "
+                "input beyond global phase"
+            )
     return Verdict(not mismatches, tuple(mismatches))

@@ -230,6 +230,23 @@ def test_projectors_are_exactly_hermitian():
             assert not proj.flags.writeable
 
 
+@pytest.mark.parametrize("n_outcomes", [1, 2, 3, 4, None])
+def test_projectors_are_one_read_only_stack(n_outcomes):
+    if n_outcomes is None:
+        fam, n_outcomes = parity_family(), 2
+    else:
+        rng = np.random.default_rng([2027, n_outcomes])
+        fam = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+        )
+    stack = fam.projectors
+    assert type(stack) is np.ndarray and stack.shape == (n_outcomes, 4, 4)
+    assert not stack.flags.writeable and fam.n_outcomes == n_outcomes
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 0
+    np.testing.assert_allclose(sum(fam.projectors), I4, atol=1e-12)
+
+
 def test_basis_is_checked_when_built_by_hand():
     with pytest.raises(ValidationError, match="non-finite"):
         TwoPhotonBasis(np.full((4, 4), np.nan))

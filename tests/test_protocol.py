@@ -1,6 +1,7 @@
 """Tests for Bell analysis, exhaustive branch enumeration, corrections and
 the projector-algebra oracle."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -1051,6 +1052,34 @@ def _random_runs(seed):
         for mode, family in families:
             beta = input_ket(random_unit_vector(rng))
             yield run_protocol(beta, family, mode, analyzer), beta, family, rng
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analyzer", ANALYZERS)
+def test_branch_table_matches_the_report_position_by_position(mode, analyzer):
+    pairs = list(itertools.product(BELL_ORDER, repeat=2))
+    accepted = protocol._accepted_pairs(mode, analyzer)
+    rows, mask, branches, cells = protocol._branch_table(mode, analyzer)
+    assert rows == tuple(k for k, pair in enumerate(pairs) if pair in accepted)
+    assert mask.tolist() == [[pair in accepted] for pair in pairs]
+    assert not mask.flags.writeable
+    rng = np.random.default_rng(1800)
+    # |HH> leaves zero branches among the accepted rows, a dense input none.
+    for beta in (input_ket([1, 0, 0, 0]), input_ket(random_unit_vector(rng))):
+        report = run_protocol(beta, parity_family(), mode, analyzer)
+        assert len(branches) == len(report.branches)
+        for (k, j), branch in zip(branches, report.branches):
+            assert (branch.bell15, branch.bell26) == pairs[k]
+            if j is None:
+                assert pairs[k] not in accepted and branch.register_result is None
+                continue
+            bits = str.maketrans("HV", "01")
+            assert int((branch.register_result or "H").translate(bits), 2) == j
+            assert branch.j in (None, j)
+        assert [i for i, _, _ in cells] == [
+            i for i, b in enumerate(report.branches) if (b.bell15, b.bell26) in accepted
+        ]
+        assert all(branches[i] == (k, j) for i, k, j in cells)
 
 
 @pytest.mark.parametrize("seed", range(3))
