@@ -519,7 +519,7 @@ def compare_reports(
     if abs(got - want) > tol:
         mismatches.append(f"success probability {got:.12g} vs oracle {want:.12g}")
     if min(got, want) >= ZERO_PROBABILITY:
-        wanted = [p / shown_total for p in shown] + [0.0] * len(oracle.probabilities)
+        wanted = [p / shown_total for p in shown] + [0.0] * len(report.conditional_j)
         for j, (got, want) in enumerate(zip(report.conditional_j, wanted)):
             if abs(got - want) > tol:
                 mismatches.append(
@@ -531,7 +531,7 @@ def compare_reports(
     for index, k, j in cells:  # only accepted rows hold successes
         if probabilities[k][j] < ZERO_PROBABILITY:
             continue
-        target = oracle.states[j]
+        target = oracle.states[j] if j < len(oracle.states) else None
         if target is None:
             mismatches.append(
                 f"branch {index} succeeds with outcome {j}, "

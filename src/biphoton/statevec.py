@@ -167,7 +167,7 @@ def _check_register(register: Sequence[int]) -> tuple[int, ...]:
     if len(set(reg)) != len(reg):
         raise ValidationError(f"register has repeated photon ids: {reg}")
     for p in reg:
-        if not isinstance(p, (int, np.integer)):
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
             raise ValidationError(f"photon id {p!r} is not an int")
     return tuple(int(p) for p in reg)
 

@@ -200,6 +200,7 @@ def test_load_config_normalizes_with_warning():
         {"input_state": 7},
         {"input_state": [float("nan"), 1, 0, 0]},
         {"input_state": [1e999, 1, 0, 0]},
+        {"input_state": [1, 0, 0]},
         {"input_state": "1e999*|HH>"},
         {"unexpected": True},
         {"input_state": [True, 0, 0, 0]},

@@ -83,6 +83,8 @@ def test_family_identity_assignment_gives_rank_one_projectors():
         [[1, 0], [1, 0], [1, 0], [1, 0]],  # column 1 empty
         [[2, 0], [1, 0], [0, 1], [0, 1]],  # non-binary entry
         [[1], [1], [1]],  # wrong number of rows
+        [[], [], [], []],  # no outcome
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],  # J = 5
     ],
 )
 def test_family_rejects_malformed_assignment(table):

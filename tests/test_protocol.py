@@ -1127,6 +1127,38 @@ def test_compare_reports_walk_agrees_under_the_negative_controls(monkeypatch):
         assert texts > 0
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[1], [1], [1], [1]],
+        [[1, 0], [1, 0], [0, 1], [0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]],
+    ],
+)
+def test_compare_reports_rules_out_outcomes_the_oracle_lacks(table):
+    # A J = 4 run against the oracle of a family with fewer outcomes: each
+    # success with outcome j >= J' is one the oracle rules out.
+    rng = np.random.default_rng(1900)
+    basis = random_orthonormal_basis(rng)
+    beta = input_ket(random_unit_vector(rng))
+    report = run_protocol(beta, family_from_assignment(basis, np.eye(4, dtype=int)))
+    oracle = oracle_report(beta, family_from_assignment(basis, table))
+    verdict = compare_reports(report, oracle)
+    fewer = len(oracle.states)
+    assert not verdict.passed
+    ruled_out = [text for text in verdict.mismatches if "rules out" in text]
+    # Row 0 is general mode's one accepted pair: branch j shows outcome j.
+    assert ruled_out == [
+        f"branch {j} succeeds with outcome {j}, which the oracle rules out"
+        for j in range(fewer, 4)
+    ]
+    for j in range(fewer, 4):
+        assert any(
+            text.startswith(f"conditional probability of outcome {j}: ")
+            for text in verdict.mismatches
+        )
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
 def test_compare_reports_walk_agrees_where_the_oracle_rules_out(mode, analyzer):

@@ -58,6 +58,37 @@ def test_basis_ket_rejects_bad_input():
         basis_ket((1, 1), "HH")  # repeated photon id
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: basis_ket((True, 2), "HH"), "photon id True is not", id="bool-id"
+        ),
+        pytest.param(
+            lambda: from_array((1, False), [1, 0, 0, 0]), "photon id False is not",
+            id="bool-id-from-array",
+        ),
+        pytest.param(
+            lambda: basis_ket((1.0, 2), "HH"), "photon id 1.0 is not", id="float-id"
+        ),
+        pytest.param(lambda: superpose([]), "at least one term", id="no-terms"),
+        pytest.param(
+            lambda: apply_one_photon(np.eye(3), 1, basis_ket((1,), "H")),
+            r"must be 2x2, got \(3, 3\)", id="3x3-operator",
+        ),
+    ],
+)
+def test_malformed_arguments_are_rejected_by_name(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_a_ket_equals_no_other_type():
+    h = basis_ket((1,), "H")
+    assert h.__eq__(h.array) is NotImplemented
+    assert h != "H" and h != h.array.tolist()
+
+
 def test_superpose_rejects_non_finite_coefficient():
     h = basis_ket((1,), "H")
     for coeff in (math.inf, -math.inf, math.nan, complex(0.0, math.inf)):
