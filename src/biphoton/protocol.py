@@ -330,13 +330,13 @@ class ProtocolReport:
             if j is None:  # one branch, its probability in column 0
                 p, reading, fix, kind = probabilities[k][0], None, (), "inconclusive"
             else:
-                p, reading, fix = probabilities[k][j], readings[j], self.corrections[k]
-                kind = "correctable" if fix else "success"
+                p, fix = probabilities[k][j], self.corrections[k]
+                reading, kind = readings[j] or None, "correctable" if fix else "success"
             if p < ZERO_PROBABILITY:
-                yield b15, b26, reading or None, p, fix, "zero", None, None
+                yield b15, b26, reading, p, fix, "zero", None, None
             else:
                 state = joint_states[k] if j is None else self.residuals[k, j]
-                yield b15, b26, reading or None, p, fix, kind, j, state
+                yield b15, b26, reading, p, fix, kind, j, state
 
     @functools.cached_property
     def branches(self) -> tuple:

@@ -40,28 +40,26 @@ def statement_lines(code) -> set:
 
 
 def scopes(tree) -> dict:
-    """Each line's scope, innermost last, from the module's syntax tree."""
+    """The scope of each line inside a function or a ``__main__`` block."""
     found = {}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def visit(node, scope, prefix):
+    def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
-            inner, inner_prefix = scope, prefix
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = inner_prefix = prefix + child.name
-                inner_prefix += "."
-            elif isinstance(child, ast.ClassDef):
-                inner_prefix = prefix + child.name + "."
-            elif isinstance(child, ast.If) and scope == "<module>" and (
+            scope = None
+            if isinstance(child, defs):
+                scope = prefix + child.name
+            elif isinstance(child, ast.If) and (
                 ast.unparse(child.test) == "__name__ == '__main__'"
             ):
-                inner = "__main__"
-            if isinstance(child, ast.stmt) and inner != scope:
-                body_start = child.body[0].lineno
-                for line in range(body_start, child.end_lineno + 1):
-                    found[line] = inner
-            visit(child, inner, inner_prefix)
+                scope = "__main__"
+            if scope:
+                for line in range(child.body[0].lineno, child.end_lineno + 1):
+                    found[line] = scope
+            named = isinstance(child, defs + (ast.ClassDef,))
+            visit(child, prefix + child.name + "." if named else prefix)
 
-    visit(tree, "<module>", "")
+    visit(tree, "")
     return found
 
 
@@ -92,16 +90,13 @@ def run_traced(args) -> tuple:
 
 
 def main() -> int:
-    if "biphoton" in sys.modules:
-        raise SystemExit("import biphoton only under the trace")
     code, executed = run_traced(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     unexpected = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
         missing = statement_lines(compile(source, str(path), "exec"))
         missing -= executed.get(str(path), set())
-        scope_of = scopes(tree)
+        scope_of = scopes(ast.parse(source))
         text = source.splitlines()
         for line in sorted(missing):
             scope = scope_of.get(line, "<module>")
