@@ -53,9 +53,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoPhotonBasis:
-    """Orthonormal basis of the two-photon space: rows of ``states``."""
+    """Orthonormal basis of the two-photon space: rows of ``states``; compared
+    and hashed by identity, as a ``ProjectorFamily`` is by content."""
 
     states: np.ndarray  # (4, 4) complex, row i is |a^i> over BASIS_LABELS
 
@@ -68,7 +69,7 @@ class TwoPhotonBasis:
         object.__setattr__(self, "states", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorFamily:
     """A complete family of projectors built from a basis and an assignment."""
 
@@ -79,6 +80,19 @@ class ProjectorFamily:
     @property
     def n_outcomes(self) -> int:
         return len(self.projectors)
+
+    @functools.cached_property
+    def _content(self) -> tuple:
+        table = self.assignment
+        return self.basis.states.tobytes(), table.shape, table.tobytes()
+
+    def __eq__(self, other):  # a value: the same basis rows, in order, and table
+        if not isinstance(other, ProjectorFamily):
+            return NotImplemented
+        return self._content == other._content
+
+    def __hash__(self):
+        return hash(self._content)
 
 
 def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:

@@ -23,12 +23,12 @@ the reported probabilities are exhaustive and sum to one;
 from the projectors and ``compare_reports`` checks the two against each
 other.
 
-``T`` depends on the family and mode alone, so it is compiled once and kept
-read-only: the parity modes' at import, from the import-time parity
-resources; general mode's in a cache of at most ``_T_CACHE_SIZE`` entries,
-keyed by the exact basis and assignment bytes and by the
-``auxprep.conjugate_partner`` found at call time.  Each (mode, analyzer)
-caches its branch table.  Every call reads ``CORRECTIONS`` for its rows.
+``T`` depends on the family and mode alone, so it is compiled once, read-only:
+the parity modes' at import; general mode's in an ``lru_cache`` of 32 keyed by
+the family (a value) and the ``auxprep.conjugate_partner`` found at call time,
+so a patched ``_BELL_PAIR_BRAS`` reaches a general run only once that cache is
+cleared, and never the parity ``T``s.  ``_branch_table`` caches each (mode,
+analyzer)'s positions.  Every call reads ``CORRECTIONS`` for its rows.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class AnalyzerModel:
     name: str
     distinguishable: frozenset
 
-    def __post_init__(self):  # any iterable; frozen, so _accepted_pairs can cache
+    def __post_init__(self):  # any iterable; frozen, so _branch_table can cache
         members = frozenset(self.distinguishable)
         bad = sorted(repr(m) for m in members if not isinstance(m, BellOutcome))
         if bad:
@@ -181,20 +181,13 @@ MODES = tuple(_MODE_TABLE)
 
 
 @functools.cache
-def _accepted_pairs(mode: str, analyzer: AnalyzerModel) -> frozenset:
-    """The mode's pairs whose two outcomes the analyzer resolves."""
-    pairs = _MODE_TABLE[mode][0]
-    return frozenset(p for p in pairs if set(p) <= analyzer.distinguishable)
-
-
-@functools.cache
 def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
     """Where a (mode, analyzer) report's branches sit, positions only: the
-    ``_PAIRS`` rows of ``_accepted_pairs`` and their (16, 1) mask, every branch
-    in report order as ``(k, j)`` (``j`` None where pair ``k`` is one branch),
-    and each branch of those rows as ``(branch index, k, j)``."""
-    accepts = _accepted_pairs(mode, analyzer)
-    rows = tuple(k for k, pair in enumerate(_PAIRS) if pair in accepts)
+    ``_PAIRS`` rows of the mode's pairs the analyzer resolves and their (16, 1)
+    mask, every branch in report order as ``(k, j)`` (``j`` None where pair
+    ``k`` is one branch), and each branch of those rows as ``(index, k, j)``."""
+    pairs, resolved = _MODE_TABLE[mode][0], analyzer.distinguishable
+    rows = tuple(k for k, p in enumerate(_PAIRS) if p in pairs and set(p) <= resolved)
     mask = np.isin(np.arange(16), rows)[:, None]
     mask.flags.writeable = False
     js = range(2 ** len(_MODE_TABLE[mode][3]))  # one per register reading
@@ -203,22 +196,15 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
     return rows, mask, branches, cells
 
 
-#: General-mode ``T``s keyed by family content and the partner rule they were
-#: built with, oldest first; a new key evicts the oldest beyond the bound.
-_T_CACHE_SIZE = 32
-_T_CACHE: dict = {}
+@functools.lru_cache(maxsize=32)
+def _built_transfer(family: ProjectorFamily, partner) -> np.ndarray:
+    """``T`` of ``family``'s general resource, built with ``partner`` in place."""
+    return _transfer_tensor(auxprep.build_general_aux(family))
 
 
 def _general_transfer(family: ProjectorFamily) -> np.ndarray:
-    """``T`` of ``family``'s general resource, built once per content and partner."""
-    key = (family.basis.states.tobytes(), family.assignment.tobytes(),
-           family.assignment.shape, auxprep.conjugate_partner)
-    t = _T_CACHE.get(key)
-    if t is None:
-        t = _T_CACHE[key] = _transfer_tensor(auxprep.build_general_aux(family))
-        if len(_T_CACHE) > _T_CACHE_SIZE:
-            del _T_CACHE[next(iter(_T_CACHE))]
-    return t
+    """``T`` of ``family``'s general resource, built once per family and partner."""
+    return _built_transfer(family, auxprep.conjugate_partner)
 
 
 _GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
@@ -369,12 +355,9 @@ class Verdict:
     mismatches: tuple
 
 
-_PARITY = measurement.parity_family()
-
-
 def _is_parity(family: ProjectorFamily, tol: float) -> bool:
     return family.n_outcomes == 2 and bool(
-        np.abs(family.projectors - _PARITY.projectors).max() <= tol
+        np.abs(family.projectors - measurement.parity_family().projectors).max() <= tol
     )
 
 

@@ -258,3 +258,32 @@ def test_basis_is_checked_when_built_by_hand():
     basis = TwoPhotonBasis(rows)
     rows[0, 0] = 2.0  # the basis keeps its own read-only copy
     assert basis.states[0, 0] == 1.0 and not basis.states.flags.writeable
+
+
+def test_families_are_values():
+    rng = np.random.default_rng(2100)
+    basis, table = random_orthonormal_basis(rng), random_assignment(rng, 3)
+    fam = family_from_assignment(basis, table)
+    same = family_from_assignment(basis.copy(), table.copy())
+    assert fam == same and hash(fam) == hash(same) and len({fam, same}) == 1
+
+    nudged = basis.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2].real, 2.0) + 1j * nudged[1, 2].imag
+    # The parity projectors from rows added in another order: another resource.
+    reordered = family_from_assignment(I4, [[1, 0], [0, 1], [0, 1], [1, 0]])
+    np.testing.assert_array_equal(reordered.projectors, parity_family().projectors)
+    others = [
+        family_from_assignment(nudged, table),
+        family_from_assignment(basis, np.roll(table, 1, axis=1)),
+        family_from_assignment(basis, random_assignment(rng, 4)),
+    ]
+    for other in others:
+        assert fam != other and not fam == other
+    assert reordered != parity_family() and parity_family() == parity_family()
+    assert len({fam, same, reordered, parity_family(), *others}) == 6
+    assert fam != fam.basis and fam.__eq__(table) is NotImplemented
+
+    # A bare basis is no key: it is equal only to itself.
+    first, second = TwoPhotonBasis(I4), TwoPhotonBasis(I4)
+    assert first == first and first != second
+    assert len({first, second}) == 2 and hash(first) == hash(first)

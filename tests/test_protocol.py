@@ -759,7 +759,9 @@ def test_mode_table_states_each_mode_once():
     assert protocol._MODE_TABLE["general"][1] == 1 / 16
     assert protocol._MODE_TABLE["parity5"][1] == 1 / 16
     assert protocol._MODE_TABLE["parity4"][1] == 1 / 8
-    accepted = protocol._accepted_pairs
+    def accepted(mode, analyzer):
+        return {protocol._PAIRS[k] for k in protocol._branch_table(mode, analyzer)[0]}
+
     for analyzer in (LINEAR_ANALYZER, IDEAL_ANALYZER):
         assert accepted("general", analyzer) == {(PSI_PLUS, PSI_PLUS)}
         assert accepted("parity5", analyzer) == psi_pairs
@@ -1058,8 +1060,8 @@ def _random_runs(seed):
 @pytest.mark.parametrize("analyzer", ANALYZERS)
 def test_branch_table_matches_the_report_position_by_position(mode, analyzer):
     pairs = list(itertools.product(BELL_ORDER, repeat=2))
-    accepted = protocol._accepted_pairs(mode, analyzer)
     rows, mask, branches, cells = protocol._branch_table(mode, analyzer)
+    accepted = {pairs[k] for k in rows}
     assert rows == tuple(k for k, pair in enumerate(pairs) if pair in accepted)
     assert mask.tolist() == [[pair in accepted] for pair in pairs]
     assert not mask.flags.writeable

@@ -30,9 +30,13 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 @pytest.fixture(autouse=True)
 def cold_cache():
-    protocol._T_CACHE.clear()
+    protocol._built_transfer.cache_clear()
     yield
-    protocol._T_CACHE.clear()
+    protocol._built_transfer.cache_clear()
+
+
+def cache_size():
+    return protocol._built_transfer.cache_info().currsize
 
 
 def betas(seed, count=20):
@@ -70,7 +74,7 @@ def test_a_partner_patch_misses_a_warm_cache(monkeypatch):
     # Restored, the healthy entry serves again, and it is what a cold run builds.
     assert protocol._general_transfer(parity_family()) is warm
     warm_bytes = report_bytes(inputs, parity_family())
-    protocol._T_CACHE.clear()
+    protocol._built_transfer.cache_clear()
     assert report_bytes(inputs, parity_family()) == warm_bytes
 
 
@@ -87,7 +91,7 @@ def test_the_cache_keys_on_family_content():
     first = protocol._general_transfer(family_from_assignment(basis, table))
     same = family_from_assignment(basis.copy(), table.copy())
     assert protocol._general_transfer(same) is first
-    assert len(protocol._T_CACHE) == 1
+    assert cache_size() == 1
 
     nudged = basis.copy()
     nudged[2, 1] = np.nextafter(nudged[2, 1].real, 2.0) + 1j * nudged[2, 1].imag
@@ -97,7 +101,7 @@ def test_the_cache_keys_on_family_content():
         family_from_assignment(basis, other_table),
     ):
         assert protocol._general_transfer(family) is not first
-    assert len(protocol._T_CACHE) == 3
+    assert cache_size() == 3
 
 
 def _fresh(mode, family):
@@ -145,8 +149,8 @@ def test_the_cache_holds_no_more_than_its_bound():
             random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
         )
         run_protocol(beta, family, "general")
-        assert len(protocol._T_CACHE) <= protocol._T_CACHE_SIZE
-    assert len(protocol._T_CACHE) == protocol._T_CACHE_SIZE
+        assert cache_size() <= protocol._built_transfer.cache_info().maxsize
+    assert cache_size() == protocol._built_transfer.cache_info().maxsize
     assert protocol._general_transfer(family) is protocol._general_transfer(family)
 
 
@@ -161,7 +165,7 @@ def test_verify_shared_bytes_do_not_depend_on_a_warm_cache(monkeypatch):
         texts = []
         for cfg in configs:
             if clear_each:
-                protocol._T_CACHE.clear()
+                protocol._built_transfer.cache_clear()
             report = run_protocol(
                 cfg.input_state, cfg.family, cfg.mode, cfg.analyzer, cfg.tol
             )
@@ -169,6 +173,6 @@ def test_verify_shared_bytes_do_not_depend_on_a_warm_cache(monkeypatch):
         return texts
 
     cold = emitted(clear_each=True)
-    protocol._T_CACHE.clear()
+    protocol._built_transfer.cache_clear()
     assert emitted(clear_each=False) == cold
-    assert 0 < len(protocol._T_CACHE) < len(configs)  # the warm pass hit
+    assert 0 < cache_size() < len(configs)  # the warm pass hit
