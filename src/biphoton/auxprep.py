@@ -29,7 +29,7 @@ from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
     ValidationError,
-    _ket,
+    _check_int,
     _prune,
     basis_ket,
     complex_product,
@@ -72,16 +72,16 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> K
     label, e.g. ``|HH>`` becomes ``|VV>`` and ``a*|HV>`` becomes
     ``conj(a)|VH>``.  Partners of orthonormal rows remain orthonormal.
     """
+    _check_int(i, "basis row index")
     if not 0 <= i < 4:
         raise ValidationError(f"basis row index {i} out of range 0..3")
     partner = basis.states[i, ::-1].conj()  # the flip reverses (HH, HV, VH, VV)
-    if register is PARTNER_PAIR and isinstance(basis, TwoPhotonBasis):
-        return _ket(register, partner)  # a TwoPhotonBasis is finite by construction
     return from_array(register, partner)
 
 
 def encode_j_two_photon(j: int) -> Ket:
     """Outcome ``j`` written into two photons: 0..3 -> HH, HV, VH, VV."""
+    _check_int(j, "two-photon outcome index")
     if not 0 <= j < 4:
         raise ValidationError(f"two-photon outcome index {j} out of range 0..3")
     return basis_ket(J_REGISTER_TWO, BASIS_LABELS[j])
@@ -89,6 +89,7 @@ def encode_j_two_photon(j: int) -> Ket:
 
 def encode_j_one_photon(j: int) -> Ket:
     """Outcome ``j`` written into one photon: 0 -> H, 1 -> V."""
+    _check_int(j, "one-photon outcome index")
     if j not in (0, 1):
         raise ValidationError(f"one-photon outcome index {j} out of range 0..1")
     return basis_ket(J_REGISTER_ONE, "H" if j == 0 else "V")

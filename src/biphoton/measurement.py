@@ -23,6 +23,7 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     Ket,
     ValidationError,
+    _check_int,
     complex_product,
     from_array,
     norm,
@@ -174,6 +175,7 @@ def parity_family() -> ProjectorFamily:
 
 
 def _require_outcome(family: ProjectorFamily, j: int) -> None:
+    _check_int(j, "outcome index")
     if not 0 <= j < family.n_outcomes:
         raise ValidationError(
             f"outcome index {j} out of range for a {family.n_outcomes}-outcome family"

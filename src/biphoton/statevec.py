@@ -162,13 +162,18 @@ def _ket(register: tuple[int, ...], amplitudes) -> Ket:
     return Ket(register, _prune(amplitudes).reshape((2,) * len(register)))
 
 
+def _check_int(value, what: str) -> None:
+    """An index or photon id is an int or a numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} {value!r} is not an int")
+
+
 def _check_register(register: Sequence[int]) -> tuple[int, ...]:
     reg = tuple(register)
     if len(set(reg)) != len(reg):
         raise ValidationError(f"register has repeated photon ids: {reg}")
     for p in reg:
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise ValidationError(f"photon id {p!r} is not an int")
+        _check_int(p, "photon id")
     return tuple(int(p) for p in reg)
 
 

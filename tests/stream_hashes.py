@@ -12,7 +12,8 @@ It prints every hash and exits 1, naming each workload whose hash differs
 from its pin in ``PINNED``.  Update a pin only when a change to report bytes
 is intended.
 
-pytest does not collect this file; it only reads ``benchmarks/workloads.py``.
+pytest does not collect this file; ``tests/test_stream_pins.py`` checks the
+pins in tier-1.  It only reads ``benchmarks/workloads.py``.
 """
 
 import hashlib

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphoton.auxprep as auxprep
 import biphoton.protocol as protocol
@@ -482,6 +484,21 @@ def test_transfer_tensor_has_its_closed_form():
     for mode in MODES:
         (c,) = scales[mode]
         assert protocol._MODE_TABLE[mode][1] == pytest.approx(c**2, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_outcomes=st.integers(1, 4))
+def test_general_transfer_tensor_has_its_closed_form_for_any_haar_family(
+    seed, n_outcomes
+):
+    rng = np.random.default_rng(seed)
+    family = family_from_assignment(
+        random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+    )
+    _, want = closed_form_transfer(family, 4)
+    got = protocol._transfer_tensor(auxprep.build_general_aux(family))
+    assert np.abs(got - want).max() <= 1e-15
+    assert (got[:, :, n_outcomes:] == 0).all()
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton.statevec as statevec
+from biphoton.auxprep import conjugate_partner, encode_j_one_photon, encode_j_two_photon
+from biphoton.measurement import apply_projector, expectation, parity_family, validate_basis
 from biphoton.statevec import (
     DegenerateStateError,
     Ket,
@@ -75,6 +77,34 @@ def test_basis_ket_rejects_bad_input():
         pytest.param(
             lambda: apply_one_photon(np.eye(3), 1, basis_ket((1,), "H")),
             r"must be 2x2, got \(3, 3\)", id="3x3-operator",
+        ),
+        pytest.param(
+            lambda: apply_projector(parity_family(), True, basis_ket((1, 2), "HV")),
+            "outcome index True is not", id="bool-outcome-apply",
+        ),
+        pytest.param(
+            lambda: expectation(parity_family(), False, basis_ket((1, 2), "HH")),
+            "outcome index False is not", id="bool-outcome-expectation",
+        ),
+        pytest.param(
+            lambda: expectation(parity_family(), 1.0, basis_ket((1, 2), "HH")),
+            "outcome index 1.0 is not", id="float-outcome",
+        ),
+        pytest.param(
+            lambda: conjugate_partner(validate_basis(np.eye(4)), True),
+            "basis row index True is not", id="bool-row",
+        ),
+        pytest.param(
+            lambda: conjugate_partner(validate_basis(np.eye(4)), 1.5),
+            "basis row index 1.5 is not", id="float-row",
+        ),
+        pytest.param(
+            lambda: encode_j_two_photon(1.0), "two-photon outcome index 1.0 is not",
+            id="float-two-photon-j",
+        ),
+        pytest.param(
+            lambda: encode_j_one_photon(True), "one-photon outcome index True is not",
+            id="bool-one-photon-j",
         ),
     ],
 )
