@@ -198,7 +198,8 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _built_transfer(family: ProjectorFamily, partner) -> np.ndarray:
-    """``T`` of ``family``'s general resource, built with ``partner`` in place."""
+    """``T`` of ``family``'s general resource; ``partner``, the rule that
+    ``build_general_aux`` finds in place, is only part of the key."""
     return _transfer_tensor(auxprep.build_general_aux(family))
 
 
