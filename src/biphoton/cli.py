@@ -40,10 +40,9 @@ import numpy as np
 from biphoton.measurement import (
     BASIS_LABELS,
     ProjectorFamily,
-    family_from_assignment,
     ket_from_vector,
     parity_family,
-    validate_basis,
+    shared_family,
 )
 from biphoton.protocol import (
     IDEAL_ANALYZER,
@@ -257,23 +256,33 @@ _REQUIRED_KEYS = {"input_state", "family", "mode"}
 _ALLOWED_KEYS = _REQUIRED_KEYS | {"analyzer", "tol"}
 
 
-def _complex_entry(value, what: str) -> complex:
-    if isinstance(value, bool):
-        raise ValidationError(f"{what}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        parts = (value,)
-    elif (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+_JSON_REALS = frozenset((float, int))
+
+
+def _is_real(value) -> bool:
+    """An int or a float, never a bool; the exact JSON types answer first."""
+    kind = type(value)
+    return kind in _JSON_REALS or (kind is not bool and isinstance(value, (int, float)))
+
+
+def _complex_entry(value, what: str, *at) -> complex:
+    """A number or a ``[re, im]`` pair as a complex.  The entry's name,
+    ``what.format(*at)``, is made only for an error."""
+    if isinstance(value, (list, tuple)):
+        ok = len(value) == 2 and _is_real(value[0]) and _is_real(value[1])
         parts = value
     else:
-        raise ValidationError(f"{what}: expected a number or a [re, im] pair")
-    try:
-        return complex(*parts)
-    except OverflowError:
-        raise ValidationError(f"{what}: integer too large for a float") from None
+        ok, parts = _is_real(value), (value,)
+    if ok:
+        try:
+            return complex(*parts)
+        except OverflowError:
+            problem = "integer too large for a float"
+    elif type(value) is bool:
+        problem = "expected a number, got a boolean"
+    else:
+        problem = "expected a number or a [re, im] pair"
+    raise ValidationError(f"{what.format(*at)}: {problem}")
 
 
 def _input_components(value) -> np.ndarray:
@@ -285,7 +294,7 @@ def _input_components(value) -> np.ndarray:
                 f"input_state needs 4 components (HH, HV, VH, VV), got {len(value)}"
             )
         return np.array(
-            [_complex_entry(v, f"input_state[{i}]") for i, v in enumerate(value)]
+            [_complex_entry(v, "input_state[{}]", i) for i, v in enumerate(value)]
         )
     raise ValidationError(
         "input_state must be a ket expression string or a list of 4 components"
@@ -311,10 +320,9 @@ def _family_from_value(value, tol: float) -> ProjectorFamily:
             if not (isinstance(row, list) and len(row) == 4):
                 raise ValidationError(f"family basis row {i} must have 4 entries")
             rows.append(
-                [_complex_entry(v, f"basis[{i}][{k}]") for k, v in enumerate(row)]
+                [_complex_entry(v, "basis[{}][{}]", i, k) for k, v in enumerate(row)]
             )
-        basis = validate_basis(np.array(rows), tol)
-        return family_from_assignment(basis, value["assignment"])
+        return shared_family(np.array(rows), value["assignment"], tol)
     raise ValidationError(
         "family must be \"parity\" or an object with 'basis' and 'assignment'"
     )

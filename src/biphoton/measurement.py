@@ -36,6 +36,7 @@ __all__ = [
     "ProjectorFamily",
     "validate_basis",
     "family_from_assignment",
+    "shared_family",
     "parity_family",
     "apply_projector",
     "expectation",
@@ -152,6 +153,45 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     weighted = table.T[:, None, None, :] * a[None, :, None, :]
     projectors = _frozen(complex_product(weighted, a.conj(), contract=True))
     return ProjectorFamily(basis, table, projectors)
+
+
+def _table_key(assignment):
+    """``assignment`` as a tuple of row tuples, or None where it is not a list
+    of lists of hashable entries (a string, an object, rows that hold lists)."""
+    if not isinstance(assignment, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in assignment
+    ):
+        return None
+    table = tuple(map(tuple, assignment))
+    try:
+        hash(table)
+    except TypeError:
+        return None
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _family_by_content(states: bytes, table: tuple, tol: float) -> ProjectorFamily:
+    """The family of the 4x4 complex rows held in ``states``, checked at ``tol``."""
+    basis = validate_basis(np.frombuffer(states, dtype=complex).reshape(4, 4), tol)
+    return family_from_assignment(basis, table)
+
+
+def shared_family(states, assignment, tol: float = DEFAULT_TOL) -> ProjectorFamily:
+    """``family_from_assignment(validate_basis(states, tol), assignment)``, built
+    once per content: content-equal arguments give the same read-only family.
+
+    The key is the rows' bytes (``-0.0`` is not ``0.0``), the table as a tuple
+    of row tuples (``1``, ``1.0`` and ``True`` validate alike) and ``tol``;
+    the last 32 families are kept.  Only successes are kept, so a failure
+    raises its message every time; rows that are not 4x4 and a table that is
+    not a list of lists of hashable entries go the uncached way.
+    """
+    rows = np.asarray(states, dtype=complex)
+    table = _table_key(assignment)
+    if rows.shape != (4, 4) or table is None:
+        return family_from_assignment(validate_basis(rows, tol), assignment)
+    return _family_by_content(rows.tobytes(), table, tol)
 
 
 @functools.cache

@@ -217,6 +217,120 @@ def test_load_config_rejects_bad_values(overrides):
         load_config(base_config(**overrides))
 
 
+def basis_with(entry, i=1, k=2):
+    """The unit basis as ``[re, im]`` pairs, ``entry`` at row ``i``, column ``k``."""
+    rows = [[[1, 0] if c == r else [0, 0] for c in range(4)] for r in range(4)]
+    rows[i][k] = entry
+    return rows
+
+
+def general_family(basis=EYE4, assignment=PARITY_TABLE):
+    return {"mode": "general", "family": {"basis": basis, "assignment": assignment}}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(
+            general_family(basis_with([True, 0])),
+            "basis[1][2]: expected a number or a [re, im] pair",
+            id="bool-in-basis-pair",
+        ),
+        pytest.param(
+            general_family(basis_with(False)),
+            "basis[1][2]: expected a number, got a boolean",
+            id="bool-basis-entry",
+        ),
+        pytest.param(
+            {"input_state": [True, 0, 0, 0]},
+            "input_state[0]: expected a number, got a boolean",
+            id="bool-input-entry",
+        ),
+        pytest.param(
+            general_family(basis_with("0")),
+            "basis[1][2]: expected a number or a [re, im] pair",
+            id="string-basis-entry",
+        ),
+        pytest.param(
+            {"input_state": [1, "0", 0, 0]},
+            "input_state[1]: expected a number or a [re, im] pair",
+            id="string-input-entry",
+        ),
+        pytest.param(
+            general_family(basis_with(10**400)),
+            "basis[1][2]: integer too large for a float",
+            id="huge-basis-entry",
+        ),
+        pytest.param(
+            general_family(basis_with([0, 10**400])),
+            "basis[1][2]: integer too large for a float",
+            id="huge-basis-pair",
+        ),
+        pytest.param(
+            {"input_state": [1, 0, 0, 10**400]},
+            "input_state[3]: integer too large for a float",
+            id="huge-input-entry",
+        ),
+        pytest.param(
+            general_family(basis_with([0, 0, 0])),
+            "basis[1][2]: expected a number or a [re, im] pair",
+            id="three-number-pair",
+        ),
+        pytest.param(
+            general_family([[1, 0, 0, 0]] * 4),
+            "basis rows are not orthonormal: <row0|row1> = 1+0j deviates by 1",
+            id="non-orthonormal",
+        ),
+        pytest.param(
+            general_family(assignment="1010"),
+            "assignment must have one row per basis state (4), got shape ()",
+            id="string-table",
+        ),
+        pytest.param(
+            general_family(assignment=[[1], [1, 0], [1], [1]]),
+            "assignment rows must all have the same length",
+            id="ragged-table",
+        ),
+        pytest.param(
+            general_family(assignment=[[[1], [0]], [[1], [0]], [[0], [1]], [[0], [1]]]),
+            "assignment must have one row per basis state (4), got shape (4, 2, 1)",
+            id="rows-of-lists",
+        ),
+        pytest.param(
+            general_family(assignment=np.eye(4, 5, dtype=int).tolist()),
+            "number of outcomes must be between 1 and 4, got 5",
+            id="five-columns",
+        ),
+    ],
+)
+def test_load_config_rejects_bad_values_with_its_message(overrides, message):
+    for _ in range(2):  # a failure is never cached: the same message again
+        with pytest.raises(ValidationError) as excinfo:
+            load_config(base_config(**overrides))
+        assert str(excinfo.value) == message
+
+
+def test_load_config_accepts_number_subclasses_and_tuple_pairs():
+    # Not JSON types, so they take the isinstance test after the exact one.
+    cfg = load_config(
+        base_config(input_state=[np.float64(0.6), (0, np.float64(0.8)), 0, 0])
+    )
+    assert cfg.input_state.amplitude("HH") == pytest.approx(0.6)
+    assert cfg.input_state.amplitude("HV") == pytest.approx(0.8j)
+    family = load_config(base_config(**general_family(basis_with((0.0, 0.0))))).family
+    assert family == load_config(base_config(**general_family())).family
+
+
+def test_a_basis_kept_at_a_loose_tol_still_fails_a_tight_one():
+    basis = basis_with([1 + 1e-8, 0], i=0, k=0)
+    config = base_config(**general_family(basis), tol=1e-6)
+    assert load_config(config).family is load_config(config).family
+    config["tol"] = 1e-10
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="basis rows are not orthonormal"):
+            load_config(config)
+
+
 def test_load_config_rejects_a_non_object():
     with pytest.raises(ValidationError, match="config must be a JSON object"):
         load_config([base_config()])

@@ -1,6 +1,7 @@
 """Tests for Bell analysis, exhaustive branch enumeration, corrections and
 the projector-algebra oracle."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -916,6 +917,34 @@ def test_compare_reports_flags_a_success_the_oracle_rules_out():
         "branch 4 succeeds with outcome 0, which the oracle rules out",
         "branch 5 succeeds with outcome 0, which the oracle rules out",
     )
+
+
+@pytest.mark.parametrize("excess", [1.5, 3.0, 9.0])
+def test_compare_reports_judges_success_at_tol_itself(excess):
+    # A success off by more than tol, though within 10 * tol, is a mismatch.
+    tol = 1e-10
+    beta = input_ket(np.array([0.6, 0.8, 0, 0]))
+    report = run_protocol(beta, parity_family(), mode="parity5", tol=tol)
+    oracle = oracle_report(beta, parity_family(), tol)
+    assert compare_reports(report, oracle, tol).passed
+    off = dataclasses.replace(
+        report, success_probability=report.success_probability + excess * tol
+    )
+    verdict = compare_reports(off, oracle, tol)
+    assert len(verdict.mismatches) == 1
+    assert verdict.mismatches[0].startswith("success probability 0.2500000")
+
+
+def test_compare_reports_flags_a_success_against_an_oracle_that_shows_nothing():
+    # Wanted success 0 and a reported 1/4: the conditional check is skipped,
+    # never divided by the oracle's zero total.
+    beta = input_ket(np.array([0.6, 0.8, 0, 0]))
+    report = run_protocol(beta, parity_family(), mode="parity5")
+    nothing = protocol.OracleStatistics((0.0, 0.0), (None, None))
+    verdict = compare_reports(report, nothing)
+    assert not verdict.passed
+    assert verdict.mismatches[0] == "success probability 0.25 vs oracle 0"
+    assert not any(m.startswith("conditional") for m in verdict.mismatches)
 
 
 # ---------------------------------------------------------------------------
