@@ -51,7 +51,6 @@ from biphoton.protocol import (
     MODES,
     AnalyzerModel,
     ProtocolReport,
-    _check_tol,
     _classification,
     compare_reports,
     oracle_report,
@@ -63,6 +62,8 @@ from biphoton.statevec import (
     Ket,
     DegenerateStateError,
     ValidationError,
+    _check_tol,
+    _is_real,
     _labels,
     from_array,
 )
@@ -254,15 +255,6 @@ class RunConfig:
 
 _REQUIRED_KEYS = {"input_state", "family", "mode"}
 _ALLOWED_KEYS = _REQUIRED_KEYS | {"analyzer", "tol"}
-
-
-_JSON_REALS = frozenset((float, int))
-
-
-def _is_real(value) -> bool:
-    """An int or a float, never a bool; the exact JSON types answer first."""
-    kind = type(value)
-    return kind in _JSON_REALS or (kind is not bool and isinstance(value, (int, float)))
 
 
 def _complex_entry(value, what: str, *at) -> complex:

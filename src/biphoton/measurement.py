@@ -15,7 +15,7 @@ component order (HH, HV, VH, VV).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from biphoton.statevec import (
     Ket,
     ValidationError,
     _check_int,
+    _check_tol,
     complex_product,
     from_array,
     norm,
@@ -57,17 +58,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TwoPhotonBasis:
-    """Orthonormal basis of the two-photon space: rows of ``states``; compared
-    and hashed by identity, as a ``ProjectorFamily`` is by content."""
+    """Orthonormal basis of the two-photon space: rows of ``states``, checked
+    within ``tol``; compared and hashed by identity, as a family is by content."""
 
     states: np.ndarray  # (4, 4) complex, row i is |a^i> over BASIS_LABELS
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):  # a read-only copy; validate_basis checks orthonormality
+    def __post_init__(self, tol):  # keeps a read-only copy of the rows
         arr = _frozen(np.array(self.states, dtype=complex))
         if arr.shape != (4, 4):
             raise ValidationError(f"basis must be 4x4, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("basis contains non-finite entries")
+        gram = arr @ arr.conj().T
+        dev = np.abs(gram - np.eye(4))
+        if dev.max() > _check_tol(tol):
+            i, k = np.unravel_index(int(dev.argmax()), dev.shape)
+            raise ValidationError(
+                "basis rows are not orthonormal: "
+                f"<row{i}|row{k}> = {gram[i, k]:.6g} deviates by {dev[i, k]:.3g}"
+            )
         object.__setattr__(self, "states", arr)
 
 
@@ -98,17 +108,8 @@ class ProjectorFamily:
 
 
 def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
-    """Check shape, finiteness and orthonormality of four basis rows."""
-    basis = TwoPhotonBasis(states)
-    gram = basis.states @ basis.states.conj().T
-    dev = np.abs(gram - np.eye(4))
-    if dev.max() > tol:
-        i, k = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise ValidationError(
-            "basis rows are not orthonormal: "
-            f"<row{i}|row{k}> = {gram[i, k]:.6g} deviates by {dev[i, k]:.3g}"
-        )
-    return basis
+    """The rows as a ``TwoPhotonBasis``, which checks them within ``tol``."""
+    return TwoPhotonBasis(states, tol)
 
 
 def _validate_assignment(table) -> np.ndarray:
@@ -145,7 +146,7 @@ def _validate_assignment(table) -> np.ndarray:
 def family_from_assignment(basis, assignment) -> ProjectorFamily:
     """Build ``P_j = sum_i pi[i][j] |a^i><a^i|`` for each outcome ``j``."""
     if not isinstance(basis, TwoPhotonBasis):
-        basis = validate_basis(basis)
+        basis = TwoPhotonBasis(basis)
     table = _validate_assignment(assignment)
     a = basis.states.T  # a[m, i] is component m of |a^i>
     # P_j[m, n] = sum_i pi[i][j] a^i_m conj(a^i_n), one expression for every j:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -50,6 +49,7 @@ from biphoton.statevec import (
     ZERO_PROBABILITY,
     Ket,
     ValidationError,
+    _check_tol,
     _labels,
     _prune,
     apply_one_photon,
@@ -94,12 +94,7 @@ class BellOutcome(enum.Enum):
     PHI_MINUS = "PhiMinus"
 
 
-BELL_ORDER = (
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-)
+BELL_ORDER = tuple(BellOutcome)
 
 _BELL_COMPONENTS = {
     BellOutcome.PSI_PLUS: (("HV", 1.0), ("VH", 1.0)),
@@ -360,19 +355,6 @@ def _is_parity(family: ProjectorFamily, tol: float) -> bool:
     return family.n_outcomes == 2 and bool(
         np.abs(family.projectors - measurement.parity_family().projectors).max() <= tol
     )
-
-
-def _check_tol(tol) -> float:
-    """A comparison tolerance must be a real number in (0, 1)."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ValidationError("tol must be a number")
-    try:
-        value = float(tol)
-    except OverflowError:
-        raise ValidationError("tol must lie in (0, 1), got a huge integer") from None
-    if not 0.0 < value < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {value:g}")
-    return value
 
 
 def _validate_input(input_state: Ket, tol: float) -> None:

@@ -17,8 +17,8 @@ Numeric policy, followed by every module:
 * probability zero: an outcome below ``ZERO_PROBABILITY`` carries no state
   (branch residual, oracle state, conditional distribution), and a config
   input with ``norm**2`` below it is rejected; totals still add it;
-* agreement: two values agree when no component differs by more than the
-  caller's ``tol``, or by ``DEFAULT_TOL`` when there is none;
+* agreement: no component differs by more than the caller's ``tol`` (a real
+  number by ``_is_real``, in (0, 1) by ``_check_tol``), else ``DEFAULT_TOL``;
 * rounding: complex products that reach a report (the general resource, the
   residual contraction) and the projectors go through ``complex_product``:
   real arithmetic, terms added in index order, so no bit depends on layout or
@@ -32,6 +32,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -166,6 +167,25 @@ def _check_int(value, what: str) -> None:
     """An index or photon id is an int or a numpy integer, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} {value!r} is not an int")
+
+
+def _is_real(value) -> bool:
+    """Any ``numbers.Real`` but a bool; the exact JSON types answer first."""
+    kind = type(value)
+    return kind in (float, int) or kind is not bool and isinstance(value, numbers.Real)
+
+
+def _check_tol(tol) -> float:
+    """A comparison tolerance must be a real number in (0, 1)."""
+    if not _is_real(tol):
+        raise ValidationError("tol must be a number")
+    try:
+        value = float(tol)
+    except OverflowError:
+        raise ValidationError("tol must lie in (0, 1), got a huge integer") from None
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {value:g}")
+    return value
 
 
 def _check_register(register: Sequence[int]) -> tuple[int, ...]:

@@ -247,6 +247,21 @@ def general_family(basis=EYE4, assignment=PARITY_TABLE):
             id="bool-input-entry",
         ),
         pytest.param(
+            general_family(basis_with(np.bool_(True))),
+            "basis[1][2]: expected a number or a [re, im] pair",
+            id="numpy-bool-basis-entry",
+        ),
+        pytest.param(
+            general_family(basis_with([0, np.bool_(True)])),
+            "basis[1][2]: expected a number or a [re, im] pair",
+            id="numpy-bool-in-basis-pair",
+        ),
+        pytest.param(
+            {"input_state": [np.bool_(True), 0, 0, 0]},
+            "input_state[0]: expected a number or a [re, im] pair",
+            id="numpy-bool-input-entry",
+        ),
+        pytest.param(
             general_family(basis_with("0")),
             "basis[1][2]: expected a number or a [re, im] pair",
             id="string-basis-entry",
