@@ -14,8 +14,10 @@ photons (1,5) and (2,6) into an identity teleportation channel.
 
 The general resource records ``j`` on the pair (7, 8).  The parity family
 on one register photon (7,) gives the five-photon parity resource; on none
-it keeps only the even rows, the four-photon filter.  Photon roles are
-hard-wired: input (1, 2), kept pair (3, 4), partners (5, 6).
+it keeps only the even rows, the four-photon filter.  Every builder runs
+the formula on each call, with the ``conjugate_partner`` in place then;
+``protocol`` keeps the transfer tensors, not the resources.  Photon roles
+are hard-wired: input (1, 2), kept pair (3, 4), partners (5, 6).
 """
 
 from __future__ import annotations
@@ -117,16 +119,11 @@ def build_general_aux(family: ProjectorFamily) -> AuxState:
     return _resource(family, J_REGISTER_TWO)
 
 
-# Built at import, so no later patch of conjugate_partner reaches them.
-_PARITY_AUX5 = _resource(measurement.parity_family(), J_REGISTER_ONE)
-_PARITY_AUX4 = _resource(measurement.parity_family(), ())
-
-
 def build_parity_aux5() -> AuxState:
     """Five-photon parity resource: the parity family on one register photon."""
-    return _PARITY_AUX5
+    return _resource(measurement.parity_family(), J_REGISTER_ONE)
 
 
 def build_parity_aux4() -> AuxState:
     """Four-photon filter: the parity family on no register, even rows only."""
-    return _PARITY_AUX4
+    return _resource(measurement.parity_family(), ())

@@ -269,7 +269,7 @@ def _complex_entry(value, what: str, *at) -> complex:
         try:
             return complex(*parts)
         except OverflowError:
-            problem = "integer too large for a float"
+            problem = "number too large for a float"
     elif type(value) is bool:
         problem = "expected a number, got a boolean"
     else:

@@ -23,12 +23,13 @@ the reported probabilities are exhaustive and sum to one;
 from the projectors and ``compare_reports`` checks the two against each
 other.
 
-``T`` depends on the family and mode alone, so it is compiled once, read-only:
-the parity modes' at import; general mode's in an ``lru_cache`` of 32 keyed by
-the family (a value) and the ``auxprep.conjugate_partner`` found at call time,
-so a patched ``_BELL_PAIR_BRAS`` reaches a general run only once that cache is
-cleared, and never the parity ``T``s.  ``_branch_table`` caches each (mode,
-analyzer)'s positions.  Every call reads ``CORRECTIONS`` for its rows.
+``T`` depends on the family and register alone, so every mode's is compiled
+on first use, read-only, into one ``lru_cache`` of 32 keyed by the family (a
+value; the parity modes always use ``parity_family()``), the register photons
+and the ``auxprep.conjugate_partner`` found at call time.  So a patched partner
+reaches the next run, and a patched ``_BELL_PAIR_BRAS`` every run once that
+cache is cleared.  ``_branch_table`` caches each (mode, analyzer)'s positions.
+Every call reads ``CORRECTIONS`` for its rows.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton import auxprep, measurement
+from biphoton import auxprep
 from biphoton.auxprep import KEPT_PAIR
-from biphoton.measurement import ProjectorFamily, two_photon_vector
+from biphoton.measurement import ProjectorFamily, parity_family, two_photon_vector
 from biphoton.statevec import (
     DEFAULT_TOL,
     ZERO_PROBABILITY,
@@ -164,13 +165,12 @@ def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
 
 #: Each mode's accepted Bell pairs, the weight ``w = c**2`` each carries per unit
 #: of oracle probability (its block of ``T`` is a Pauli-rotated ``c * P_j``), its
-#: ``T`` (None where built from the run's family) and its register photons.
+#: register photons and the family its ``T`` is built from (None: the run's own).
 _PSI_PAIRS = tuple(itertools.product(BELL_ORDER[:2], repeat=2))
-_PARITY5, _PARITY4 = auxprep.build_parity_aux5(), auxprep.build_parity_aux4()
 _MODE_TABLE = {
-    "general": (_PSI_PAIRS[:1], 1 / 16, None, auxprep.J_REGISTER_TWO),
-    "parity5": (_PSI_PAIRS, 1 / 16, _transfer_tensor(_PARITY5), _PARITY5.j_register),
-    "parity4": (_PSI_PAIRS, 1 / 8, _transfer_tensor(_PARITY4), _PARITY4.j_register),
+    "general": (_PSI_PAIRS[:1], 1 / 16, auxprep.J_REGISTER_TWO, None),
+    "parity5": (_PSI_PAIRS, 1 / 16, auxprep.J_REGISTER_ONE, parity_family()),
+    "parity4": (_PSI_PAIRS, 1 / 8, (), parity_family()),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -185,22 +185,17 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
     rows = tuple(k for k, p in enumerate(_PAIRS) if p in pairs and set(p) <= resolved)
     mask = np.isin(np.arange(16), rows)[:, None]
     mask.flags.writeable = False
-    js = range(2 ** len(_MODE_TABLE[mode][3]))  # one per register reading
+    js = range(2 ** len(_MODE_TABLE[mode][2]))  # one per register reading
     branches = tuple((k, j) for k in range(16) for j in (js if k in rows else [None]))
     cells = tuple((i, k, j) for i, (k, j) in enumerate(branches) if j is not None)
     return rows, mask, branches, cells
 
 
 @functools.lru_cache(maxsize=32)
-def _built_transfer(family: ProjectorFamily, partner) -> np.ndarray:
-    """``T`` of ``family``'s general resource; ``partner``, the rule that
-    ``build_general_aux`` finds in place, is only part of the key."""
-    return _transfer_tensor(auxprep.build_general_aux(family))
-
-
-def _general_transfer(family: ProjectorFamily) -> np.ndarray:
-    """``T`` of ``family``'s general resource, built once per family and partner."""
-    return _built_transfer(family, auxprep.conjugate_partner)
+def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.ndarray:
+    """``T`` of ``family``'s resource on ``j_register``; ``partner``, the rule
+    that ``auxprep._resource`` finds in place, is only part of the key."""
+    return _transfer_tensor(auxprep._resource(family, j_register))
 
 
 _GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
@@ -351,9 +346,9 @@ class Verdict:
     mismatches: tuple
 
 
-def _is_parity(family: ProjectorFamily, tol: float) -> bool:
+def _is_parity(family: ProjectorFamily, preset: ProjectorFamily, tol: float) -> bool:
     return family.n_outcomes == 2 and bool(
-        np.abs(family.projectors - measurement.parity_family().projectors).max() <= tol
+        np.abs(family.projectors - preset.projectors).max() <= tol
     )
 
 
@@ -388,11 +383,10 @@ def run_protocol(
     _validate_input(input_state, tol)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    _, _, t, j_register = _MODE_TABLE[mode]
-    if t is None:
-        t = _general_transfer(family)
-    elif not _is_parity(family, tol):
+    _, _, j_register, preset = _MODE_TABLE[mode]
+    if preset is not None and not _is_parity(family, preset, tol):
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
+    t = _built_transfer(preset or family, j_register, auxprep.conjugate_partner)
 
     beta = two_photon_vector(input_state)
     residuals = complex_product(t, beta, contract=True)

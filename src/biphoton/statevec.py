@@ -182,7 +182,9 @@ def _check_tol(tol) -> float:
     try:
         value = float(tol)
     except OverflowError:
-        raise ValidationError("tol must lie in (0, 1), got a huge integer") from None
+        raise ValidationError(
+            "tol must lie in (0, 1), got a number too large for a float"
+        ) from None
     if not 0.0 < value < 1.0:
         raise ValidationError(f"tol must lie in (0, 1), got {value:g}")
     return value

@@ -37,11 +37,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "biphoton"
 
 #: The functions mutated, by module: the orthonormality, number, tolerance
-#: and index rules and the config entry reader built on them.
+#: and index rules, the config entry reader built on them, and the check that
+#: a parity mode's family lies within ``tol`` of the parity projectors.
 TARGETS = {
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
     "statevec.py": ("_check_int", "_is_real", "_check_tol"),
     "cli.py": ("_complex_entry",),
+    "protocol.py": ("_is_parity",),
 }
 MAX_MUTANTS = 40
 BUDGET_S = 15 * 60

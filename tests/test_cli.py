@@ -4,6 +4,7 @@ and the command-line entry points."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,18 +274,33 @@ def general_family(basis=EYE4, assignment=PARITY_TABLE):
         ),
         pytest.param(
             general_family(basis_with(10**400)),
-            "basis[1][2]: integer too large for a float",
+            "basis[1][2]: number too large for a float",
             id="huge-basis-entry",
         ),
         pytest.param(
             general_family(basis_with([0, 10**400])),
-            "basis[1][2]: integer too large for a float",
+            "basis[1][2]: number too large for a float",
             id="huge-basis-pair",
         ),
         pytest.param(
             {"input_state": [1, 0, 0, 10**400]},
-            "input_state[3]: integer too large for a float",
+            "input_state[3]: number too large for a float",
             id="huge-input-entry",
+        ),
+        pytest.param(
+            {"input_state": [1, 0, 0, Fraction(10**400, 3)]},
+            "input_state[3]: number too large for a float",
+            id="huge-fraction-entry",
+        ),
+        pytest.param(
+            general_family(basis_with([Fraction(10**400, 3), 0])),
+            "basis[1][2]: number too large for a float",
+            id="huge-fraction-pair",
+        ),
+        pytest.param(
+            {"tol": Fraction(10**400, 3)},
+            "tol must lie in (0, 1), got a number too large for a float",
+            id="huge-fraction-tol",
         ),
         pytest.param(
             general_family(basis_with([0, 0, 0])),

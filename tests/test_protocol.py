@@ -3,11 +3,6 @@ the projector-algebra oracle."""
 
 import dataclasses
 import itertools
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +13,7 @@ import biphoton.auxprep as auxprep
 import biphoton.protocol as protocol
 from biphoton.cli import emit_report
 from biphoton.measurement import (
+    ProjectorFamily,
     apply_projector,
     family_from_assignment,
     ket_from_vector,
@@ -850,48 +846,6 @@ def test_compare_reports_flags_a_misnormalized_resource(monkeypatch):
         assert verdict.mismatches[0].startswith("success probability 0.06375")
 
 
-PATCHED_AFTER_IMPORT = """
-import json
-
-import biphoton
-from biphoton import auxprep
-from biphoton.measurement import ket_from_vector, parity_family
-from biphoton.protocol import MODES, compare_reports, oracle_report, run_protocol
-from biphoton.statevec import superpose
-
-healthy = auxprep.conjugate_partner
-auxprep.conjugate_partner = lambda basis, i, register=auxprep.PARTNER_PAIR: (
-    superpose([(1.01, healthy(basis, i, register))])
-)
-beta = ket_from_vector((1, 2), [0.5, 0.5j, -0.5, 0.5])
-verdicts = {}
-for mode in MODES:
-    report = run_protocol(beta, parity_family(), mode=mode)
-    oracle = oracle_report(beta, parity_family())
-    verdicts[mode] = compare_reports(report, oracle).passed
-resources = [build().ket.array.tobytes().hex()
-             for build in (auxprep.build_parity_aux5, auxprep.build_parity_aux4)]
-print(json.dumps({"verdicts": verdicts, "resources": resources}))
-"""
-
-
-def test_parity_resources_are_immune_to_a_later_partner_patch():
-    # The parity resources are built when biphoton is imported, so a partner
-    # patched right after that import reaches only the general resource.
-    src = Path(auxprep.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run(
-        [sys.executable, "-c", PATCHED_AFTER_IMPORT],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    out = json.loads(result.stdout)
-    assert out["verdicts"] == {"general": False, "parity5": True, "parity4": True}
-    assert out["resources"] == [
-        build().ket.array.tobytes().hex()
-        for build in (auxprep.build_parity_aux5, auxprep.build_parity_aux4)
-    ]
-
-
 def test_compare_reports_flags_a_permuted_oracle_distribution():
     beta = input_ket(np.array([0.6, 0.8, 0, 0]))  # even weight 0.36, odd 0.64
     report = run_protocol(beta, parity_family(), mode="parity5")
@@ -1032,6 +986,17 @@ def test_parity_modes_judge_the_family_within_tol():
         run_protocol(hh_input(), fam, "parity5")
     report = run_protocol(hh_input(), fam, "parity5", tol=1e-5)
     assert report.success_probability == pytest.approx(0.25, abs=1e-12)
+
+
+def test_the_parity_check_accepts_a_deviation_of_exactly_tol():
+    parity = parity_family()
+    projectors = parity.projectors.copy()
+    projectors[1, 2, 2] += 2.0**-20  # 1 + 2**-20: exact in a float
+    fam = ProjectorFamily(parity.basis, parity.assignment, projectors)
+    report = run_protocol(hh_input(), fam, "parity5", tol=2.0**-20)
+    assert report.family is fam
+    with pytest.raises(ValidationError, match="requires the parity projector family"):
+        run_protocol(hh_input(), fam, "parity5", tol=np.nextafter(2.0**-20, 0))
 
 
 def test_oracle_matches_projecting_one_outcome_at_a_time():

@@ -1,5 +1,5 @@
-"""The transfer tensors ``run_protocol`` builds once: the parity modes' at
-import, general mode's in a bounded cache keyed by family content and by the
+"""The transfer tensors ``run_protocol`` builds once: every mode's on first
+use, in one bounded cache keyed by family content, register photons and the
 partner rule looked up at call time.  No cached tensor may move a report
 byte, and a patch of ``auxprep.conjugate_partner`` or of ``CORRECTIONS`` must
 still reach every run after the cache is warm."""
@@ -21,6 +21,7 @@ from biphoton.protocol import (
     oracle_report,
     run_protocol,
 )
+from biphoton.statevec import superpose
 
 from support import random_assignment, random_orthonormal_basis, random_unit_vector
 
@@ -37,6 +38,13 @@ def cold_cache():
 
 def cache_size():
     return protocol._built_transfer.cache_info().currsize
+
+
+def general_transfer(family):
+    """The cached ``T`` of ``family``'s general resource."""
+    return protocol._built_transfer(
+        family, auxprep.J_REGISTER_TWO, auxprep.conjugate_partner
+    )
 
 
 def betas(seed, count=20):
@@ -67,12 +75,12 @@ def conjugate_only(basis, i, register=auxprep.PARTNER_PAIR):
 def test_a_partner_patch_misses_a_warm_cache(monkeypatch):
     inputs = betas(88)
     assert general_failures(inputs) == 0  # warms the cache on the parity family
-    warm = protocol._general_transfer(parity_family())
+    warm = general_transfer(parity_family())
     with monkeypatch.context() as patch:
         patch.setattr(auxprep, "conjugate_partner", conjugate_only)
         assert general_failures(inputs) > 0
     # Restored, the healthy entry serves again, and it is what a cold run builds.
-    assert protocol._general_transfer(parity_family()) is warm
+    assert general_transfer(parity_family()) is warm
     warm_bytes = report_bytes(inputs, parity_family())
     protocol._built_transfer.cache_clear()
     assert report_bytes(inputs, parity_family()) == warm_bytes
@@ -88,9 +96,9 @@ def test_a_spurious_correction_reaches_a_warm_general_run(monkeypatch):
 def test_the_cache_keys_on_family_content():
     rng = np.random.default_rng(1800)
     basis, table = random_orthonormal_basis(rng), random_assignment(rng, 3)
-    first = protocol._general_transfer(family_from_assignment(basis, table))
+    first = general_transfer(family_from_assignment(basis, table))
     same = family_from_assignment(basis.copy(), table.copy())
-    assert protocol._general_transfer(same) is first
+    assert general_transfer(same) is first
     assert cache_size() == 1
 
     nudged = basis.copy()
@@ -100,7 +108,7 @@ def test_the_cache_keys_on_family_content():
         family_from_assignment(nudged, table),
         family_from_assignment(basis, other_table),
     ):
-        assert protocol._general_transfer(family) is not first
+        assert general_transfer(family) is not first
     assert cache_size() == 3
 
 
@@ -114,8 +122,10 @@ def _fresh(mode, family):
 
 
 def _cached(mode, family):
-    table_t = protocol._MODE_TABLE[mode][2]
-    return protocol._general_transfer(family) if table_t is None else table_t
+    _, _, j_register, preset = protocol._MODE_TABLE[mode]
+    return protocol._built_transfer(
+        preset or family, j_register, auxprep.conjugate_partner
+    )
 
 
 def test_cached_tensors_are_read_only_and_equal_a_fresh_build():
@@ -151,7 +161,7 @@ def test_the_cache_holds_no_more_than_its_bound():
         run_protocol(beta, family, "general")
         assert cache_size() <= protocol._built_transfer.cache_info().maxsize
     assert cache_size() == protocol._built_transfer.cache_info().maxsize
-    assert protocol._general_transfer(family) is protocol._general_transfer(family)
+    assert general_transfer(family) is general_transfer(family)
 
 
 def test_verify_shared_bytes_do_not_depend_on_a_warm_cache(monkeypatch):
@@ -176,3 +186,64 @@ def test_verify_shared_bytes_do_not_depend_on_a_warm_cache(monkeypatch):
     protocol._built_transfer.cache_clear()
     assert emitted(clear_each=False) == cold
     assert 0 < cache_size() < len(configs)  # the warm pass hit
+
+
+def verify_all_modes(inputs):
+    """Whether every input passes ``verify`` on the parity family, per mode."""
+    family = parity_family()
+    return {
+        mode: all(
+            compare_reports(
+                run_protocol(beta, family, mode), oracle_report(beta, family)
+            ).passed
+            for beta in inputs
+        )
+        for mode in protocol.MODES
+    }
+
+
+def test_a_partner_patch_reaches_every_mode(monkeypatch):
+    healthy = auxprep.conjugate_partner
+
+    def scaled(basis, i, register=auxprep.PARTNER_PAIR):
+        return superpose([(1.01, healthy(basis, i, register))])
+
+    inputs = betas(92, count=5)
+    assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(auxprep, "conjugate_partner", scaled)
+        assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, False)
+    # Restored, the healthy entries serve again: every run hits, none builds.
+    before = protocol._built_transfer.cache_info()
+    assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, True)
+    after = protocol._built_transfer.cache_info()
+    assert after.hits - before.hits == len(protocol.MODES) * len(inputs)
+    assert after.misses == before.misses
+
+
+def test_a_bell_bra_patch_reaches_every_mode_once_the_cache_is_cleared(monkeypatch):
+    inputs = betas(90, count=5)
+    assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, True)
+    scaled = protocol._BELL_PAIR_BRAS.copy()
+    scaled[:, 0] *= 1.5  # the partner |HH> column, which every mode's resource reads
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_BELL_PAIR_BRAS", scaled)
+        protocol._built_transfer.cache_clear()
+        assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, False)
+    protocol._built_transfer.cache_clear()
+    assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, True)
+
+
+def test_parity_tensors_share_the_bound_and_rebuild_the_same_bytes():
+    inputs, modes = betas(91, count=5), ("parity5", "parity4")
+    first = [report_bytes(inputs, parity_family(), mode) for mode in modes]
+    rng = np.random.default_rng(2100)
+    for _ in range(protocol._built_transfer.cache_info().maxsize):  # evicts both
+        family = family_from_assignment(
+            random_orthonormal_basis(rng), random_assignment(rng, 4)
+        )
+        run_protocol(inputs[0], family, "general")
+    before = protocol._built_transfer.cache_info()
+    again = [report_bytes(inputs, parity_family(), mode) for mode in modes]
+    assert protocol._built_transfer.cache_info().misses == before.misses + len(modes)
+    assert again == first
