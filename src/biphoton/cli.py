@@ -86,14 +86,14 @@ class ParseError(ValueError):
 
 
 class KetSyntaxError(ParseError):
-    """Ket expression syntax error, carrying the byte offset."""
+    """Ket expression syntax error, carrying the character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
 
-_DECIMAL = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_DECIMAL = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _LABEL_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 _ANALYZERS = {"linear": LINEAR_ANALYZER, "ideal": IDEAL_ANALYZER}
 
@@ -104,7 +104,7 @@ def parse_ket(text: str) -> np.ndarray:
     Grammar: signed sum of terms ``[coeff '*'] '|' pol pol '>'`` where a
     coefficient is a decimal, ``isqrt2`` (for 1/sqrt(2)), or a complex
     ``"(re,im)"`` / ``"(re+imi)"`` pair.  Duplicate kets are summed.
-    Errors report the byte offset of the offending character.
+    Errors report the character offset (an index into ``text``) of the fault.
     """
     comps = np.zeros(4, dtype=complex)
     n = len(text)
@@ -114,99 +114,58 @@ def parse_ket(text: str) -> np.ndarray:
             p += 1
         return p
 
-    def fail(message: str, p: int):
-        raise KetSyntaxError(message, p)
-
-    def parse_decimal(p: int, what: str):
-        m = _DECIMAL.match(text, p)
-        if m is None:
-            fail(f"expected {what}", p)
-        return float(m.group()), m.end()
-
-    def parse_signed_decimal(p: int, what: str):
-        sign = 1.0
-        if p < n and text[p] in "+-":
-            sign = -1.0 if text[p] == "-" else 1.0
-            p = skip_ws(p + 1)
-        value, p = parse_decimal(p, what)
-        return sign * value, p
-
-    def parse_complex(p: int):
-        # at '('
-        p = skip_ws(p + 1)
-        re_part, p = parse_signed_decimal(p, "the real part")
-        p = skip_ws(p)
-        if p < n and text[p] == ",":
-            p = skip_ws(p + 1)
-            im_part, p = parse_signed_decimal(p, "the imaginary part")
-        elif p < n and text[p] in "+-":
-            im_part, p = parse_signed_decimal(p, "the imaginary part")
-        else:
-            fail("expected ',' or a signed imaginary part", p)
-        p = skip_ws(p)
-        if p < n and text[p] == "i":
-            p = skip_ws(p + 1)
-        if p >= n or text[p] != ")":
-            fail("expected ')'", p)
-        return complex(re_part, im_part), p + 1
-
-    def parse_term(p: int, sign: float) -> int:
-        coeff = complex(1.0)
-        if p >= n:
-            fail("expected a term", p)
-        ch = text[p]
-        has_coeff = False
-        if ch == "(":
-            coeff, p = parse_complex(p)
-            has_coeff = True
-        elif ch.isdigit() or ch == ".":
-            value, p = parse_decimal(p, "a decimal coefficient")
-            coeff = complex(value)
-            has_coeff = True
-        elif text.startswith("isqrt2", p):
-            coeff = complex(2.0 ** -0.5)
-            p += len("isqrt2")
-            has_coeff = True
-        if has_coeff:
-            p = skip_ws(p)
-            if p >= n or text[p] != "*":
-                fail("expected '*' after the coefficient", p)
-            p = skip_ws(p + 1)
-        if p >= n or text[p] != "|":
-            fail("expected a term like '|HV>'", p)
-        p += 1
-        labels = []
-        for _ in range(2):
-            if p >= n or text[p] not in "HV":
-                fail("expected a polarization label 'H' or 'V'", p)
-            labels.append(text[p])
-            p += 1
-        if p >= n or text[p] != ">":
-            fail("expected '>'", p)
-        comps[_LABEL_INDEX["".join(labels)]] += sign * coeff
+    def expect(p: int, chars: str, message: str) -> int:
+        """The offset after ``text[p]``, which must be one of ``chars``."""
+        if p >= n or text[p] not in chars:
+            raise KetSyntaxError(message, p)
         return p + 1
 
-    pos = skip_ws(0)
-    if pos >= n:
-        fail("empty ket expression", pos)
-    sign = 1.0
-    if text[pos] == "-":
-        sign = -1.0
-        pos = skip_ws(pos + 1)
-    while True:
-        pos = parse_term(pos, sign)
-        pos = skip_ws(pos)
-        if pos >= n:
+    def parse_decimal(p: int, what: str):
+        """A decimal after an optional sign, and the offset after it."""
+        sign = -1.0 if text.startswith("-", p) else 1.0
+        if text.startswith(("+", "-"), p):
+            p = skip_ws(p + 1)
+        m = _DECIMAL.match(text, p)
+        if m is None:
+            raise KetSyntaxError(f"expected {what}", p)
+        return sign * float(m.group()), m.end()
+
+    def parse_term(p: int, sign: float) -> int:
+        """Add the term at ``p < n`` to ``comps``; return the offset after it."""
+        start, coeff = p, 1.0
+        if text[p] == "(":
+            real, p = parse_decimal(skip_ws(p + 1), "the real part")
+            p = skip_ws(p)
+            if not text.startswith(("+", "-"), p):  # "(re,im)", not "(re+imi)"
+                p = skip_ws(expect(p, ",", "expected ',' or a signed imaginary part"))
+            imag, p = parse_decimal(p, "the imaginary part")
+            p = skip_ws(p)
+            if text.startswith("i", p):
+                p = skip_ws(p + 1)
+            coeff, p = complex(real, imag), expect(p, ")", "expected ')'")
+        elif text[p].isdigit() or text[p] == ".":
+            coeff, p = parse_decimal(p, "a decimal coefficient")
+        elif text.startswith("isqrt2", p):
+            coeff, p = 2.0 ** -0.5, p + len("isqrt2")
+        if p > start:  # a coefficient was read
+            p = skip_ws(expect(skip_ws(p), "*", "expected '*' after the coefficient"))
+        p = expect(p, "|", "expected a term like '|HV>'")
+        for _ in range(2):
+            p = expect(p, "HV", "expected a polarization label 'H' or 'V'")
+        comps[_LABEL_INDEX[text[p - 2 : p]]] += sign * complex(coeff)
+        return expect(p, ">", "expected '>'")
+
+    p, sign, message = skip_ws(0), 1.0, "empty ket expression"
+    if text.startswith("-", p):
+        p, sign, message = skip_ws(p + 1), -1.0, "expected a term"
+    while p < n:
+        p = skip_ws(parse_term(p, sign))
+        if p >= n:
             return comps
-        if text[pos] == "+":
-            sign = 1.0
-        elif text[pos] == "-":
-            sign = -1.0
-        else:
-            fail("expected '+' or '-' between terms", pos)
-        pos = skip_ws(pos + 1)
-        if pos >= n:
-            fail("expected a term after the operator", pos)
+        sign = -1.0 if text[p] == "-" else 1.0
+        p = skip_ws(expect(p, "+-", "expected '+' or '-' between terms"))
+        message = "expected a term after the operator"
+    raise KetSyntaxError(message, p)
 
 
 def _number(x):
@@ -220,20 +179,16 @@ def _number(x):
 
 def format_ket(components) -> str:
     """Inverse of :func:`parse_ket` (up to float formatting)."""
-    terms = []
+    text = ""
     for label, amp in from_array(INPUT_PAIR, components).items():
-        if amp.imag == 0.0:
-            sign = "-" if amp.real < 0 else "+"
-            terms.append((sign, f"{_number(abs(amp.real))}*|{label}>"))
+        if amp.imag != 0.0:
+            text += f" + ({_number(amp.real)},{_number(amp.imag)})*|{label}>"
         else:
-            terms.append(("+", f"({_number(amp.real)},{_number(amp.imag)})*|{label}>"))
-    if not terms:
+            sign = "-" if amp.real < 0 else "+"
+            text += f" {sign} {_number(abs(amp.real))}*|{label}>"
+    if not text:
         return "0*|HH>"
-    first_sign, first_body = terms[0]
-    pieces = [("-" if first_sign == "-" else "") + first_body]
-    for sign, body in terms[1:]:
-        pieces.append(f" {sign} {body}")
-    return "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]  # first sign unspaced
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphoton.protocol as protocol
 from biphoton.cli import (
@@ -118,6 +120,143 @@ def test_format_parse_round_trip(seed):
 
 def test_format_ket_zero_vector():
     assert parse_ket(format_ket(np.zeros(4))).tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty ket expression (offset 0)"),
+        ("-", "expected a term (offset 1)"),
+        ("foo", "expected a term like '|HV>' (offset 0)"),
+        ("²*|HH>", "expected a decimal coefficient (offset 0)"),
+        ("1.5|HH>", "expected '*' after the coefficient (offset 3)"),
+        ("(x,1)*|HH>", "expected the real part (offset 1)"),
+        ("(1,x)*|HH>", "expected the imaginary part (offset 3)"),
+        ("(1 2)*|HH>", "expected ',' or a signed imaginary part (offset 3)"),
+        ("(1,2*|HH>", "expected ')' (offset 4)"),
+        ("|HH> + |XH>", "expected a polarization label 'H' or 'V' (offset 8)"),
+        ("|HV", "expected '>' (offset 3)"),
+        ("|HH>junk", "expected '+' or '-' between terms (offset 4)"),
+        ("|HH> +", "expected a term after the operator (offset 6)"),
+    ],
+)
+def test_each_ket_syntax_message_in_full(text, message):
+    with pytest.raises(KetSyntaxError) as err:
+        parse_ket(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("٣*|HH>", "expected a decimal coefficient (offset 0)"),  # Arabic-Indic 3
+        ("１*|HH>", "expected a decimal coefficient (offset 0)"),  # fullwidth 1
+        ("(1,٣)*|HH>", "expected the imaginary part (offset 3)"),
+        ("1e٣*|HH>", "expected '*' after the coefficient (offset 1)"),
+    ],
+)
+def test_a_decimal_is_read_in_ascii_digits_only(text, message):
+    with pytest.raises(KetSyntaxError) as err:
+        parse_ket(text)
+    assert str(err.value) == message
+
+
+def test_the_offset_counts_characters_not_bytes(tmp_path, capsys):
+    text = "　|XH>"  # an ideographic space: 1 character, 3 bytes in UTF-8
+    assert len(text[:2].encode("utf-8")) == 4
+    with pytest.raises(KetSyntaxError) as err:
+        parse_ket(text)
+    assert err.value.offset == 2
+    path = write_config(tmp_path, base_config(input_state=text))
+    assert main(["verify", "--config", path]) == 2
+    assert "(offset 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1,2)*|HH>",
+        " -isqrt2 * |VH> + ( -0.5 + 2.5e-1 i )*|HV>",
+        "-1.5E+3*|HV> - (+.5,-2.)*|VV> + |HH> ",
+        "(1-2i)*|VV>-7e-2*|HH>",
+    ],
+)
+def test_every_prefix_parses_or_raises_a_ket_syntax_error(text):
+    parse_ket(text)
+    for end in range(len(text)):
+        prefix = text[:end]
+        try:
+            parse_ket(prefix)
+        except KetSyntaxError as err:
+            assert 0 <= err.offset <= len(prefix), (prefix, err.offset)
+
+
+def test_an_explicit_plus_inside_a_complex_coefficient():
+    want = parse_ket("(1,2)*|HH>")
+    assert parse_ket("(+1,+2)*|HH>").tobytes() == want.tobytes()
+    assert parse_ket("(+1+2i)*|HH>").tobytes() == want.tobytes()
+
+
+ASCII_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+#: Decimals in every shape the grammar reads: ``5``, ``5.``, ``5.25``, ``.25``,
+#: each with or without an exponent.
+DECIMALS = st.builds(
+    "{}{}".format,
+    st.one_of(
+        ASCII_DIGITS,
+        st.builds("{}.{}".format, ASCII_DIGITS, st.text("0123456789", max_size=3)),
+        st.builds(".{}".format, ASCII_DIGITS),
+    ),
+    st.sampled_from(["", "e5", "E-2", "e+03", "e-0"]),
+)
+SPACES = st.text(" \t\n　", max_size=2)
+
+
+@st.composite
+def ket_terms(draw):
+    """``(text, label, amplitude)`` of one unsigned term: no coefficient, a
+    decimal, ``isqrt2``, ``(re,im)`` or ``(re±imi)``, spaced where the
+    grammar allows it."""
+
+    def ws():
+        return draw(SPACES)
+
+    label = draw(st.sampled_from(["HH", "HV", "VH", "VV"]))
+    form = draw(st.sampled_from(["none", "decimal", "isqrt2", "pair", "sum"]))
+    if form == "none":
+        return f"|{label}>", label, complex(1.0)
+    if form == "decimal":
+        coeff = draw(DECIMALS)
+        amplitude = complex(float(coeff))
+    elif form == "isqrt2":
+        coeff, amplitude = "isqrt2", complex(2.0 ** -0.5)
+    else:
+        re_sign = draw(st.sampled_from(["", "+", "-"]))
+        im_sign = draw(st.sampled_from(["+", "-"] + ([""] if form == "pair" else [])))
+        re, im = draw(DECIMALS), draw(DECIMALS)
+        amplitude = complex(float(re_sign + re), float(im_sign + im))
+        between = f"{ws()},{ws()}" if form == "pair" else ""
+        i = draw(st.sampled_from(["", "i" + ws()]))
+        coeff = (
+            f"({ws()}{re_sign}{ws()}{re}{ws()}{between}{im_sign}{ws()}{im}{ws()}{i})"
+        )
+    return f"{coeff}{ws()}*{ws()}|{label}>", label, amplitude
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.sampled_from("+-"), ket_terms()), min_size=1, max_size=5),
+    spaces=st.lists(SPACES, min_size=11, max_size=11),
+)
+def test_a_generated_expression_parses_to_its_terms_sum(terms, spaces):
+    text, want = spaces[0], np.zeros(4, dtype=complex)
+    for k, (op, (term, label, amplitude)) in enumerate(terms):
+        sign = -1.0 if op == "-" else 1.0
+        if k == 0 and op == "+":
+            op = ""  # the grammar takes a leading '-' but no leading '+'
+        text += f"{op}{spaces[2 * k + 1]}{term}{spaces[2 * k + 2]}"
+        want[["HH", "HV", "VH", "VV"].index(label)] += sign * amplitude
+    assert parse_ket(text).tobytes() == want.tobytes(), text
 
 
 # ---------------------------------------------------------------------------
