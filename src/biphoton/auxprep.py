@@ -16,8 +16,8 @@ The general resource records ``j`` on the pair (7, 8).  The parity family
 on one register photon (7,) gives the five-photon parity resource; on none
 it keeps only the even rows, the four-photon filter.  Every builder runs
 the formula on each call, with the ``conjugate_partner`` in place then;
-``protocol`` keeps the transfer tensors, not the resources.  Photon roles
-are hard-wired: input (1, 2), kept pair (3, 4), partners (5, 6).
+``protocol._built_transfer``, the one compiler of ``T``, caches no resource.
+Photon roles are hard-wired: input (1, 2), kept pair (3, 4), partners (5, 6).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from biphoton.statevec import (
     Ket,
     ValidationError,
     _check_int,
+    _ket,
     _prune,
     basis_ket,
     complex_product,
@@ -110,7 +111,7 @@ def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
     amplitudes = len(rows) ** -0.5 * complex_product(
         kept.T[:, None, None, :], columns.transpose(1, 2, 0), contract=True
     )
-    ket = from_array(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes)
+    ket = _ket(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes)
     return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, j_register)
 
 

@@ -40,7 +40,6 @@ import numpy as np
 from biphoton.measurement import (
     BASIS_LABELS,
     ProjectorFamily,
-    ket_from_vector,
     parity_family,
     shared_family,
 )
@@ -64,6 +63,7 @@ from biphoton.statevec import (
     ValidationError,
     _check_tol,
     _is_real,
+    _ket,
     _labels,
     from_array,
 )
@@ -106,7 +106,7 @@ def parse_ket(text: str) -> np.ndarray:
     ``"(re,im)"`` / ``"(re+imi)"`` pair.  Duplicate kets are summed.
     Errors report the character offset (an index into ``text``) of the fault.
     """
-    comps = np.zeros(4, dtype=complex)
+    comps = [0j] * 4  # Python complexes: a sum that overflows gives inf silently
     n = len(text)
 
     def skip_ws(p: int) -> int:
@@ -128,7 +128,9 @@ def parse_ket(text: str) -> np.ndarray:
         m = _DECIMAL.match(text, p)
         if m is None:
             raise KetSyntaxError(f"expected {what}", p)
-        return sign * float(m.group()), m.end()
+        if math.isinf(value := float(m.group())):
+            raise ValidationError(f"number too large for a float (offset {p})")
+        return sign * value, m.end()
 
     def parse_term(p: int, sign: float) -> int:
         """Add the term at ``p < n`` to ``comps``; return the offset after it."""
@@ -161,7 +163,7 @@ def parse_ket(text: str) -> np.ndarray:
     while p < n:
         p = skip_ws(parse_term(p, sign))
         if p >= n:
-            return comps
+            return np.array(comps)
         sign = -1.0 if text[p] == "-" else 1.0
         p = skip_ws(expect(p, "+-", "expected '+' or '-' between terms"))
         message = "expected a term after the operator"
@@ -318,7 +320,7 @@ def load_config(data) -> RunConfig:
         warnings.append(
             f"input state norm {scale * norm:.12g} differs from 1; normalizing"
         )
-    ket = ket_from_vector(INPUT_PAIR, vec / norm)
+    ket = _ket(INPUT_PAIR, vec / norm)
     return RunConfig(ket, family, mode, analyzer, tol, tuple(warnings))
 
 
@@ -333,7 +335,7 @@ def read_config(path: str) -> RunConfig:
         raise ParseError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer literal over Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ParseError(f"config {path!r} is not valid JSON: {exc}") from exc
     return load_config(data)
 

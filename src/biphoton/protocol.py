@@ -23,13 +23,13 @@ the reported probabilities are exhaustive and sum to one;
 from the projectors and ``compare_reports`` checks the two against each
 other.
 
-``T`` depends on the family and register alone, so every mode's is compiled
-on first use, read-only, into one ``lru_cache`` of 32 keyed by the family (a
-value; the parity modes always use ``parity_family()``), the register photons
-and the ``auxprep.conjugate_partner`` found at call time.  So a patched partner
-reaches the next run, and a patched ``_BELL_PAIR_BRAS`` every run once that
-cache is cleared.  ``_branch_table`` caches each (mode, analyzer)'s positions.
-Every call reads ``CORRECTIONS`` for its rows.
+``T`` depends on the family and register alone, so its one compiler,
+``_built_transfer``, an ``lru_cache`` of 32, builds every mode's on first use,
+read-only, keyed by the family (a value; the parity modes always use
+``parity_family()``), the register photons and the ``conjugate_partner`` found
+at call time.  So a patched partner reaches the next run, and a patched
+``_BELL_PAIR_BRAS`` every run once that cache is cleared.  ``_branch_table``
+caches each (mode, analyzer)'s positions; ``CORRECTIONS`` is read every call.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ LINEAR_ANALYZER = AnalyzerModel("linear", frozenset(BELL_ORDER[:2]))
 IDEAL_ANALYZER = AnalyzerModel("ideal", frozenset(BELL_ORDER))
 
 
-def _transfer_tensor(aux: auxprep.AuxState) -> np.ndarray:
-    """``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized
-    kept-pair residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6)
-    (BELL_ORDER indices) and reading ``r``; read-only, shape (4, 4, R, 4, 4).
-    """
-    resource = aux.ket.array.reshape(4, 4, -1)  # (kept, partners, r)
-    # Each bra row has one nonzero entry: every element is one rounded product.
-    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
-    t.flags.writeable = False  # and so every view of it
-    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
-
-
 #: Each mode's accepted Bell pairs, the weight ``w = c**2`` each carries per unit
 #: of oracle probability (its block of ``T`` is a Pauli-rotated ``c * P_j``), its
 #: register photons and the family its ``T`` is built from (None: the run's own).
@@ -193,9 +181,16 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.ndarray:
-    """``T`` of ``family``'s resource on ``j_register``; ``partner``, the rule
-    that ``auxprep._resource`` finds in place, is only part of the key."""
-    return _transfer_tensor(auxprep._resource(family, j_register))
+    """The one compiler of ``T`` from ``family``'s resource on ``j_register``:
+    ``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized kept-pair
+    residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6) (BELL_ORDER
+    indices) and reading ``r``; read-only, shape (4, 4, R, 4, 4).  ``partner``,
+    the rule that ``auxprep._resource`` finds in place, is only part of the key."""
+    resource = auxprep._resource(family, j_register).ket.array.reshape(4, 4, -1)
+    # (kept, partners, r); each bra row has one nonzero entry: one rounded product.
+    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
+    t.flags.writeable = False  # and so every view of it
+    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
 
 
 _GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}

@@ -23,7 +23,8 @@ Numeric policy, followed by every module:
   residual contraction) and the projectors go through ``complex_product``:
   real arithmetic, terms added in index order, so no bit depends on layout or
   batch shape.  ``tensor`` uses it too, though no run calls it; the oracle
-  and the other reference helpers do not.
+  and the other reference helpers do not;
+* entry: ``from_array`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
 from __future__ import annotations

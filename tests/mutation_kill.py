@@ -1,11 +1,12 @@
-"""Mutants of the input rules that the tier-1 suite must kill.
+"""Mutants of the input rules, the compile path and the verdict that the
+tier-1 suite must kill.
 
 This applies a fixed list of AST mutations, one at a time, to the functions
-that decide what input the program accepts, and runs the tier-1 suite
-against each mutant on a temporary copy of the repository.  A mutant is
-killed when the suite fails; one that passes it survives.  No package
-beyond pytest (run as a child process) is needed.  Run from the repository
-root:
+that decide what input the program accepts, how it builds ``T`` and how it
+judges a run, and runs the tier-1 suite against each mutant on a temporary
+copy of the repository.  A mutant is killed when the suite fails; one that
+passes it survives.  No package beyond pytest (run as a child process) is
+needed.  Run from the repository root:
 
     python tests/mutation_kill.py
 
@@ -37,16 +38,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "biphoton"
 
 #: The functions mutated, by module: the orthonormality, number, tolerance
-#: and index rules, the config entry reader built on them, the ket grammar
-#: and its writer, and the check that a parity mode's family lies within
-#: ``tol`` of the parity projectors.
+#: and index rules, the config reader and the entry reader built on them, the
+#: ket grammar and its writer, the check that a parity mode's family lies
+#: within ``tol`` of the parity projectors, the resource and the one compiler
+#: of ``T`` from it, and the verdict.
 TARGETS = {
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
     "statevec.py": ("_check_int", "_is_real", "_check_tol"),
-    "cli.py": ("_complex_entry", "parse_ket", "format_ket"),
-    "protocol.py": ("_is_parity",),
+    "cli.py": ("_complex_entry", "parse_ket", "format_ket", "read_config",
+               "load_config"),
+    "protocol.py": ("_is_parity", "_built_transfer", "compare_reports"),
+    "auxprep.py": ("_resource",),
 }
-MAX_MUTANTS = 80
+MAX_MUTANTS = 150
 BUDGET_S = 15 * 60
 
 #: Surviving mutants that cannot change behaviour, by the id ``mutants``
@@ -56,6 +60,13 @@ ALLOWED = {
         "from_array prunes an amplitude whose real and imaginary parts are "
         "both 0, so that branch never sees amp.real == 0"
     ),
+    **{
+        f"protocol.py:_built_transfer: constant `1` -> `10` (#{k})": (
+            "the 1 of a -1 reshape size: numpy reads any negative size as the "
+            "one inferred dimension, so -10 gives the shape -1 gives"
+        )
+        for k in (1, 3, 4)
+    },
 }
 
 PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

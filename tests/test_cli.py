@@ -2,6 +2,7 @@
 and the command-line entry points."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from biphoton.protocol import (
     oracle_report,
     run_protocol,
 )
-from biphoton.statevec import ValidationError, basis_ket
+from biphoton.statevec import ZERO_PROBABILITY, ValidationError, basis_ket
 
 from support import random_unit_vector
 
@@ -189,6 +190,53 @@ def test_every_prefix_parses_or_raises_a_ket_syntax_error(text):
             parse_ket(prefix)
         except KetSyntaxError as err:
             assert 0 <= err.offset <= len(prefix), (prefix, err.offset)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("1e999*|HH>", 0),
+        ("-1e999*|HH>", 1),
+        ("(1,1e999)*|HH>", 3),
+        ("(1+1e999i)*|HH>", 3),
+        ("( - 1e999,0)*|HH>", 4),
+        ("|HH> + 1.7976931348623159E+308*|VV>", 7),
+        ("1e999*|HH> - 1e999*|HH> + |VV>", 0),
+    ],
+)
+def test_a_decimal_too_large_for_a_float_is_rejected_at_its_digits(text, offset):
+    with pytest.raises(ValidationError) as err:
+        parse_ket(text)
+    assert str(err.value) == f"number too large for a float (offset {offset})"
+
+
+def test_the_largest_float_is_still_a_decimal():
+    top = "1.7976931348623157e308"  # sys.float_info.max; one ulp more is inf
+    assert parse_ket(f"{top}*|HH> - ({top},-{top})*|VV>").tolist() == [
+        sys.float_info.max, 0, 0, complex(-sys.float_info.max, sys.float_info.max)
+    ]
+
+
+def test_an_overflowing_ket_decimal_exits_1_with_one_error_line(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(input_state="(1,1e999)*|HH>"))
+    assert main(["verify", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: number too large for a float (offset 3)\n"
+    )
+
+
+def test_a_sum_past_the_largest_float_is_non_finite_without_a_warning(
+    tmp_path, capsys
+):
+    # Each term is finite; their sum is not, and it reaches load_config's
+    # check with no numpy overflow warning on the way.
+    text = "1e308*|HH> + 1e308*|HH>"
+    assert parse_ket(text).tolist() == [complex("inf"), 0, 0, 0]
+    path = write_config(tmp_path, base_config(input_state=text))
+    assert main(["verify", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: input_state has non-finite components\n"
+    )
 
 
 def test_an_explicit_plus_inside_a_complex_coefficient():
@@ -726,6 +774,26 @@ def test_load_config_near_zero_input_follows_probability_zero_rule():
     assert cfg.input_state.amplitude("HH") == pytest.approx(1.0)
 
 
+def test_an_input_at_exactly_the_probability_zero_line_loads():
+    # Only norm**2 below ZERO_PROBABILITY is rejected: 1e-6 squares to exactly
+    # 1e-12, so it loads, and one ulp less does not.
+    assert 1e-6 * 1e-6 == ZERO_PROBABILITY
+    cfg = load_config(base_config(input_state=[1e-6, 0, 0, 0]))
+    assert cfg.input_state.amplitude("HH") == 1.0
+    with pytest.raises(ValidationError, match="near-"):
+        load_config(base_config(input_state=[math.nextafter(1e-6, 0), 0, 0, 0]))
+
+
+def test_a_norm_off_by_exactly_tol_loads_without_a_warning():
+    # The warning is for a norm off by more than tol: 1.5 is off by exactly 0.5.
+    cfg = load_config(base_config(input_state=[1.5, 0, 0, 0], tol=0.5))
+    assert cfg.warnings == ()
+    assert cfg.input_state.amplitude("HH") == 1.0
+    above = math.nextafter(1.5, 2.0)
+    cfg = load_config(base_config(input_state=[above, 0, 0, 0], tol=0.5))
+    assert cfg.warnings == ("input state norm 1.5 differs from 1; normalizing",)
+
+
 def test_basis_orthonormality_is_checked_within_the_config_tol(tmp_path, capsys):
     # A basis row off by 1e-8 agrees at tol 1e-5 and not at tol 1e-10.
     basis = np.eye(4).tolist()
@@ -818,6 +886,18 @@ def test_malformed_config_exits_with_one_error_line(tmp_path, capsys, raw, code)
     assert main(["verify", "--config", str(path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: config {str(path)!r} is not valid JSON: "
+        "maximum recursion depth exceeded"
+    )
+    assert err.count("\n") == 1, err
 
 
 def test_run_out_to_unwritable_path_exits_2(tmp_path, capsys):

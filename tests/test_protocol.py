@@ -3,6 +3,7 @@ the projector-algebra oracle."""
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -408,23 +409,31 @@ def test_branch_probabilities_sum_to_one(mode, seed):
     )
 
 
+def compiled_transfer(family, register):
+    """``T`` of ``family`` on ``register``, from the run's one compiler, uncached."""
+    return protocol._built_transfer.__wrapped__(
+        family, register, auxprep.conjugate_partner
+    )
+
+
 def _resources():
-    yield auxprep.build_parity_aux5()
-    yield auxprep.build_parity_aux4()
+    """(family, register) of both parity resources and 20 general ones."""
+    yield parity_family(), auxprep.J_REGISTER_ONE
+    yield parity_family(), ()
     rng = np.random.default_rng(900)
     for n_outcomes in (1, 2, 3, 4):
         for _ in range(5):
             family = family_from_assignment(
                 random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
             )
-            yield auxprep.build_general_aux(family)
+            yield family, auxprep.J_REGISTER_TWO
 
 
 def test_transfer_tensor_conserves_probability_for_every_input():
     # sum over all branches of T^dagger T = I: the branch probabilities
     # sum to |beta|^2 for every input, not only for sampled ones.
-    for aux in _resources():
-        t = protocol._transfer_tensor(aux).reshape(-1, 4, 4)
+    for family, register in _resources():
+        t = compiled_transfer(family, register).reshape(-1, 4, 4)
         gram = np.einsum("nki,nkj->ij", t.conj(), t)
         np.testing.assert_allclose(gram, np.eye(4), rtol=0, atol=1e-12)
 
@@ -472,7 +481,7 @@ def test_transfer_tensor_has_its_closed_form():
     scales = {}
     for mode, family, aux in _mode_resources():
         c, want = closed_form_transfer(family, 2 ** len(aux.j_register))
-        got = protocol._transfer_tensor(aux)
+        got = compiled_transfer(family, aux.j_register)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
         assert (got[:, :, family.n_outcomes :] == 0).all()
@@ -493,9 +502,25 @@ def test_general_transfer_tensor_has_its_closed_form_for_any_haar_family(
         random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
     )
     _, want = closed_form_transfer(family, 4)
-    got = protocol._transfer_tensor(auxprep.build_general_aux(family))
+    got = compiled_transfer(family, auxprep.J_REGISTER_TWO)
     assert np.abs(got - want).max() <= 1e-15
     assert (got[:, :, n_outcomes:] == 0).all()
+
+
+def test_the_compiler_keeps_the_rows_each_register_can_record():
+    # One formula for every (family, register): rows whose outcome the register
+    # cannot record drop out of T and of c, here J = 1..4 on every register.
+    rng = np.random.default_rng(1510)
+    for n_outcomes in (1, 2, 3, 4):
+        for _ in range(5):
+            family = family_from_assignment(
+                random_orthonormal_basis(rng), random_assignment(rng, n_outcomes)
+            )
+            for register in (auxprep.J_REGISTER_TWO, auxprep.J_REGISTER_ONE, ()):
+                _, want = closed_form_transfer(family, 2 ** len(register))
+                got = compiled_transfer(family, register)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -515,7 +540,7 @@ def test_contraction_bytes_ignore_layout_and_batch_shape(mode, analyzer):
         "parity5": auxprep.build_parity_aux5,
         "parity4": auxprep.build_parity_aux4,
     }[mode]()
-    t = protocol._transfer_tensor(aux)
+    t = compiled_transfer(family, aux.j_register)
     inputs = np.array([random_unit_vector(rng) for _ in range(64)])
     batch = complex_product(t[None], inputs[:, None, None, None, None], contract=True)
     readings = {"general": BASIS_LABELS, "parity5": "HV", "parity4": ()}[mode]
@@ -899,6 +924,61 @@ def test_compare_reports_flags_a_success_against_an_oracle_that_shows_nothing():
     assert not verdict.passed
     assert verdict.mismatches[0] == "success probability 0.25 vs oracle 0"
     assert not any(m.startswith("conditional") for m in verdict.mismatches)
+
+
+def _even_parity5():
+    """A parity5 run on |HH>, its oracle (outcome 0 with probability 1) and
+    the exact totals the oracle wants: success 1/4, conditionals (1, 0)."""
+    beta = input_ket(np.array([1, 0, 0, 0]))
+    report = run_protocol(beta, parity_family(), mode="parity5")
+    oracle = oracle_report(beta, parity_family())
+    assert oracle.probabilities == (1.0, 0.0) and oracle.states[1] is None
+    return report, oracle
+
+
+def test_compare_reports_accepts_a_deviation_of_exactly_tol():
+    # A mismatch differs by more than tol; 2**-20 is exact next to 1/4 and 1.
+    report, oracle = _even_parity5()
+    tol = 2.0**-20
+    for excess, mismatches in ((tol, 0), (2 * tol, 3)):
+        off = dataclasses.replace(
+            report,
+            success_probability=0.25 + excess,
+            conditional_j=(1.0 - excess, excess),
+        )
+        verdict = compare_reports(off, oracle, tol)
+        assert len(verdict.mismatches) == mismatches, verdict.mismatches
+
+
+def test_compare_reports_renormalizes_once_both_successes_reach_zero_probability():
+    # Wanted success 1/4 of the shown total: exactly ZERO_PROBABILITY here, so
+    # the conditionals are judged; one ulp less and they are not.
+    report, oracle = _even_parity5()
+    wrong = dataclasses.replace(
+        report, success_probability=ZERO_PROBABILITY, conditional_j=(0.0, 1.0)
+    )
+    faint = protocol.OracleStatistics((4 * ZERO_PROBABILITY, 0.0), oracle.states)
+    assert compare_reports(wrong, faint).mismatches == (
+        "conditional probability of outcome 0: report 0 vs oracle 1",
+        "conditional probability of outcome 1: report 1 vs oracle 0",
+    )
+    fainter = math.nextafter(4 * ZERO_PROBABILITY, 0.0)
+    below = protocol.OracleStatistics((fainter, 0.0), oracle.states)
+    assert compare_reports(wrong, below).passed
+
+
+def test_compare_reports_judges_a_success_cell_of_exactly_zero_probability():
+    # A cell below ZERO_PROBABILITY carries no state; one at it is judged.
+    report, oracle = _even_parity5()
+    ruled_out = "branch 1 succeeds with outcome 1, which the oracle rules out"
+    for p, mismatches in (
+        (ZERO_PROBABILITY, (ruled_out,)),
+        (math.nextafter(ZERO_PROBABILITY, 0.0), ()),
+    ):
+        probabilities = np.array(report.probabilities)
+        probabilities[0, 1] = p
+        cell = dataclasses.replace(report, probabilities=probabilities)
+        assert compare_reports(cell, oracle).mismatches == mismatches
 
 
 # ---------------------------------------------------------------------------

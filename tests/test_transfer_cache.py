@@ -47,6 +47,12 @@ def general_transfer(family):
     )
 
 
+def test_the_cache_holds_the_documented_32_tensors():
+    # 16 KB a general tensor, so the cache stays within 0.5 MB.
+    assert protocol._built_transfer.cache_info().maxsize == 32
+    assert general_transfer(parity_family()).nbytes == 16 * 1024
+
+
 def betas(seed, count=20):
     rng = np.random.default_rng(seed)
     return [ket_from_vector((1, 2), random_unit_vector(rng)) for _ in range(count)]
@@ -113,12 +119,14 @@ def test_the_cache_keys_on_family_content():
 
 
 def _fresh(mode, family):
-    build = {
-        "general": lambda: auxprep.build_general_aux(family),
-        "parity5": auxprep.build_parity_aux5,
-        "parity4": auxprep.build_parity_aux4,
+    family, register = {
+        "general": (family, auxprep.J_REGISTER_TWO),
+        "parity5": (parity_family(), auxprep.J_REGISTER_ONE),
+        "parity4": (parity_family(), ()),
     }[mode]
-    return protocol._transfer_tensor(build())
+    return protocol._built_transfer.__wrapped__(
+        family, register, auxprep.conjugate_partner
+    )
 
 
 def _cached(mode, family):
@@ -126,6 +134,48 @@ def _cached(mode, family):
     return protocol._built_transfer(
         preset or family, j_register, auxprep.conjugate_partner
     )
+
+
+def bell_transfer(aux):
+    """``_BELL_PAIR_BRAS`` applied to a public resource's amplitudes."""
+    resource = aux.ket.array.reshape(4, 4, -1)  # (kept, partners, r)
+    t = protocol._BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
+    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)
+
+
+BELL_BASIS = 2**-0.5 * np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+)
+
+
+def public_resources():
+    """(family, register, resource) from the public builders: the parity family
+    on all three registers, the identity and Bell bases and seeded Haar families
+    for J = 1..4, each on the general register."""
+    yield parity_family(), auxprep.J_REGISTER_TWO, auxprep.build_general_aux(
+        parity_family()
+    )
+    yield parity_family(), auxprep.J_REGISTER_ONE, auxprep.build_parity_aux5()
+    yield parity_family(), (), auxprep.build_parity_aux4()
+    rng = np.random.default_rng(2000)
+    for n_outcomes in (1, 2, 3, 4):
+        haar = [random_orthonormal_basis(rng) for _ in range(10)]
+        for basis in [np.eye(4), BELL_BASIS, *haar]:
+            family = family_from_assignment(basis, random_assignment(rng, n_outcomes))
+            yield family, auxprep.J_REGISTER_TWO, auxprep.build_general_aux(family)
+
+
+def test_an_uncached_compile_is_t_of_the_public_resource_byte_for_byte():
+    count = 0
+    for family, register, aux in public_resources():
+        got = protocol._built_transfer.__wrapped__(
+            family, register, auxprep.conjugate_partner
+        )
+        assert aux.j_register == register
+        assert got.tobytes() == bell_transfer(aux).tobytes()
+        count += 1
+    assert count == 3 + 4 * 12
+    assert cache_size() == 0  # __wrapped__ bypasses the cache
 
 
 def test_cached_tensors_are_read_only_and_equal_a_fresh_build():
