@@ -50,6 +50,9 @@ from biphoton.protocol import (
     MODES,
     AnalyzerModel,
     ProtocolReport,
+    _MODE_TABLE,
+    _PAIRS,
+    _branch_table,
     _classification,
     compare_reports,
     oracle_report,
@@ -277,6 +280,12 @@ def _family_from_value(value, tol: float) -> ProjectorFamily:
     )
 
 
+def _norm(vec) -> float:
+    """The 2-norm of four complex numbers, added in one order on any BLAS."""
+    r0, i0, r1, i1, r2, i2, r3, i3 = [x * x for x in vec.view(float).tolist()]
+    return math.sqrt(((r0 + r2) + (r1 + r3)) + ((i0 + i2) + (i1 + i3)))
+
+
 def load_config(data) -> RunConfig:
     """Validate a decoded JSON config and build the protocol inputs."""
     if not isinstance(data, dict):
@@ -306,13 +315,11 @@ def load_config(data) -> RunConfig:
     vec = _input_components(data["input_state"])
     if not np.isfinite(vec).all():
         raise ValidationError("input_state has non-finite components")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vec))
-    scale = 1.0
-    if math.isinf(norm):  # finite components whose squares overflow
+    norm, scale = _norm(vec), 1.0
+    if math.isinf(norm):  # squares that overflow: Python floats give inf, no warning
         scale = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
         vec = vec / scale
-        norm = float(np.linalg.norm(vec))
+        norm = _norm(vec)
     if norm * norm < ZERO_PROBABILITY:
         raise ValidationError("input_state has (near-)zero norm")
     warnings = []
@@ -354,80 +361,21 @@ def _listing(items, pad: str) -> str:
     return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + f"\n{pad}]"
 
 
-def _cells(state: np.ndarray, parts) -> list:
-    """``(labels, re, im)`` texts of the state's nonzero amplitudes, the number
-    texts taken in turn from ``parts``."""
-    shown = compress(_labels(state.ndim), state.ravel().tolist())
-    return list(zip(shown, parts, parts))
-
-
 def _object(cells, pad: str) -> str:
-    """Components as a JSON object ``{"HV": [re, im], ...}`` closed at ``pad``."""
+    """``(labels, re, im)`` texts as a JSON object closed at ``pad``."""
     lines = ",\n".join(f'{pad}  "{labels}": [{re}, {im}]' for labels, re, im in cells)
     return f"{{\n{lines}\n{pad}}}"
 
 
-def _family_json(family: ProjectorFamily) -> str:
-    """The ``family`` object as a report or config skeleton prints it."""
-    states = family.basis.states
-    texts = _number(np.stack([states.real, states.imag], axis=-1))
+def _family_json(texts, assignment: np.ndarray) -> str:
+    """The ``family`` object as a report or config skeleton prints it, from the
+    texts of the basis's (re, im) parts in row order."""
     entries = [f"[{re}, {im}]" for re, im in zip(texts[0::2], texts[1::2])]
     rows = [_listing(entries[i : i + 4], "      ") for i in range(0, 16, 4)]
     basis = ",\n".join(f"      {row}" for row in rows)
     # A 4 x J table of 0/1 always fits on one line.
-    assignment = json.dumps(family.assignment.tolist())
+    assignment = json.dumps(assignment.tolist())
     return f'{{\n    "basis": [\n{basis}\n    ],\n    "assignment": {assignment}\n  }}'
-
-
-@functools.lru_cache(maxsize=1)
-def _branch_texts(report: ProtocolReport) -> tuple:
-    """Per branch: ``(bell15, bell26, reading, probability, classification,
-    corrections, cells)``.  The table's numbers go through one ``_number``
-    call per report; the last report's texts are kept for its other format."""
-    rows = list(report._rows())
-    states = [row[-1].ravel() for row in rows if row[-1] is not None]
-    amplitudes = np.concatenate(states)
-    numbers = _number(np.concatenate(
-        [[row[3] for row in rows], amplitudes[amplitudes != 0].view(float)]
-    ))
-    parts = iter(numbers[len(rows) :])  # re, im of each shown component
-    return tuple(
-        (b15.value, b26.value, reading, p, _classification(kind, j), fixes,
-         None if residual is None else _cells(residual, parts))
-        for (b15, b26, reading, _, fixes, kind, j, residual), p in zip(rows, numbers)
-    )
-
-
-def _branch_json(bell15, bell26, reading, probability, classification, fixes, cells):
-    """One element of the report's ``branches`` list."""
-    reading = "null" if reading is None else f'"{reading}"'
-    # At most two corrections, so the list always fits on one line.
-    fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in fixes)
-    if cells is None:
-        residual = ""
-    else:
-        residual = ',\n      "residual": ' + _object(cells, "      ")
-    return (
-        "    {\n"
-        f'      "bell15": "{bell15}",\n'
-        f'      "bell26": "{bell26}",\n'
-        f'      "register_result": {reading},\n'
-        f'      "probability": {probability},\n'
-        f'      "classification": "{classification}",\n'
-        f'      "corrections": [{fixes}]{residual}\n'
-        "    }"
-    )
-
-
-def _branch_csv(bell15, bell26, reading, probability, classification, fixes, cells):
-    """One CSV row: components as ``labels:re:im``, corrections as
-    ``photon:gate``, each list joined with ``;``."""
-    fixes = ";".join(f"{photon}:{gate}" for photon, gate in fixes)
-    residual = "" if cells is None else ";".join(map(":".join, cells))
-    return (
-        f"{bell15},{bell26},{reading or ''},"
-        f"{probability},{classification},{fixes},{residual}"
-    )
 
 
 _CSV_HEADER = (
@@ -436,31 +384,98 @@ _CSV_HEADER = (
 )
 
 
+@functools.lru_cache(maxsize=32)
+def _layout(mode: str, analyzer: AnalyzerModel, corrections, live, nonzero) -> tuple:
+    """The print order of a report's floats (those of its probabilities, then
+    of its residuals as (re, im)) and its branches as JSON and CSV with a ``%s``
+    slot for each, by all that places them: ``live`` and ``nonzero`` are the bytes
+    of ``probabilities >= ZERO_PROBABILITY`` and of ``residuals != 0``."""
+    n = len(_MODE_TABLE[mode][2])
+    live = np.frombuffer(live, bool).reshape(16, -1)
+    re = live.size + 2 * np.arange(live.size * 4).reshape(16, -1, 4)  # (k, r, kept)
+    nonzero = np.frombuffer(nonzero, bool).reshape(re.shape)
+    order, json_rows, csv_rows = [], [], [_CSV_HEADER]
+    for k, j in _branch_table(mode, analyzer)[2]:
+        at, ok = (k,) if j is None else (k, j), live[k, j or 0]
+        shown = nonzero[at].reshape(-1, 4).T.ravel() & ok  # a joint state: reading last
+        order.append(k * live.shape[1] + (j or 0))
+        order += [i + d for i in re[at].reshape(-1, 4).T.ravel()[shown] for d in (0, 1)]
+        labels = list(compress(_labels(n + 2 if j is None else 2), shown.tolist()))
+        b15, b26 = (bell.value for bell in _PAIRS[k])
+        reading = None if j is None else _labels(n)[j] or None
+        fixes = () if j is None else corrections[k]
+        kind = "inconclusive" if j is None else "correctable" if fixes else "success"
+        kind = _classification(kind if ok else "zero", j)
+        # At most two corrections, so the list always fits on one line.
+        json_fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in fixes)
+        cells = _object([(label, "%s", "%s") for label in labels], "      ")
+        residual = f',\n      "residual": {cells}' if ok else ""
+        json_rows.append(
+            "    {\n"
+            f'      "bell15": "{b15}",\n'
+            f'      "bell26": "{b26}",\n'
+            f'      "register_result": {json.dumps(reading)},\n'
+            '      "probability": %s,\n'
+            f'      "classification": "{kind}",\n'
+            f'      "corrections": [{json_fixes}]{residual}\n'
+            "    }"
+        )
+        csv_fixes = ";".join(f"{photon}:{gate}" for photon, gate in fixes)
+        csv_cells = ";".join(f"{label}:%s:%s" for label in labels)
+        csv_rows.append(
+            f"{b15},{b26},{reading or ''},%s,{kind},{csv_fixes},{csv_cells}"
+        )
+    order = np.array(order)
+    order.flags.writeable = False
+    return order, {"json": ",\n".join(json_rows), "csv": "\n".join(csv_rows) + "\n"}
+
+
+@functools.lru_cache(maxsize=1)
+def _report_texts(report: ProtocolReport) -> tuple:
+    """The texts of every number ``report`` prints, from one ``_number`` call, by
+    part (input, family, branches, totals), and its templates; the last
+    report's are kept for its other format."""
+    probabilities, residuals = report.probabilities, report.residuals
+    order, templates = _layout(
+        report.mode, report.analyzer, report.corrections,
+        (probabilities >= ZERO_PROBABILITY).tobytes(), (residuals != 0).tobytes(),
+    )
+    floats = np.concatenate([probabilities.ravel(), residuals.ravel().view(float)])
+    ket = report.input_state.array[report.input_state.array != 0]
+    totals = [report.success_probability, *report.conditional_j]
+    totals.append(report.inconclusive_probability)
+    texts = _number(np.concatenate([
+        ket.view(float), report.family.basis.states.ravel().view(float),
+        floats[order], totals,
+    ]))
+    a, b, c = 2 * ket.size, 2 * ket.size + 32, len(texts) - len(totals)
+    return texts[:a], texts[a:b], tuple(texts[b:c]), texts[c:], templates
+
+
 def emit_report(report: ProtocolReport, fmt: str = "json") -> str:
     """Serialize a report deterministically as JSON or CSV.
 
-    The table's numbers are formatted once per report, into texts both use.
+    Every number is formatted in one call per report, into texts both use.
     """
     if fmt not in ("json", "csv"):
         raise ValidationError(f"unknown report format {fmt!r}, expected json or csv")
-    rows = _branch_texts(report)
+    ket, family, numbers, totals, templates = _report_texts(report)
+    branches = templates[fmt] % numbers
     if fmt == "csv":
-        return "\n".join([_CSV_HEADER, *(_branch_csv(*row) for row in rows)]) + "\n"
-    branches = ",\n".join(_branch_json(*row) for row in rows)
-    ket = report.input_state.array
-    parts = iter(_number(ket[ket != 0].view(float)))
-    conditional = _listing(_number(report.conditional_j), "    ")
+        return branches
+    labels = compress(_labels(2), report.input_state.array.ravel().tolist())
+    parts = iter(ket)
     return (
         "{\n"
         f'  "mode": {json.dumps(report.mode)},\n'
         f'  "analyzer": {json.dumps(report.analyzer.name)},\n'
-        f'  "input": {_object(_cells(ket, parts), "  ")},\n'
-        f'  "family": {_family_json(report.family)},\n'
+        f'  "input": {_object(zip(labels, parts, parts), "  ")},\n'
+        f'  "family": {_family_json(family, report.family.assignment)},\n'
         f'  "branches": [\n{branches}\n  ],\n'
         '  "totals": {\n'
-        f'    "success_probability": {_number(report.success_probability)},\n'
-        f'    "conditional_j": {conditional},\n'
-        f'    "inconclusive_probability": {_number(report.inconclusive_probability)}\n'
+        f'    "success_probability": {totals[0]},\n'
+        f'    "conditional_j": {_listing(totals[1:-1], "    ")},\n'
+        f'    "inconclusive_probability": {totals[-1]}\n'
         "  }\n"
         "}\n"
     )
@@ -516,10 +531,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_families(args) -> int:
+    texts = _number(parity_family().basis.states.ravel().view(float))
     sys.stdout.write(
         "{\n"
         '  "input_state": "isqrt2*|HH> + isqrt2*|VV>",\n'
-        f'  "family": {_family_json(parity_family())},\n'
+        f'  "family": {_family_json(texts, parity_family().assignment)},\n'
         '  "mode": "parity5",\n'
         '  "analyzer": "linear",\n'
         f'  "tol": {_number(DEFAULT_TOL)}\n'

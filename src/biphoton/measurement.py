@@ -115,8 +115,14 @@ def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
 def _validate_assignment(table) -> np.ndarray:
     try:
         arr = np.array(table)
-    except ValueError:  # ragged rows
-        raise ValidationError("assignment rows must all have the same length") from None
+    except ValueError:  # ragged rows, or lists nested past numpy's dimensions
+        depth, row = 0, table
+        while isinstance(row, (list, tuple)) and row:
+            depth, row = depth + 1, row[0]
+        problem = "rows must all have the same length"
+        if depth > 2:
+            problem = f"must be a 4 x J table, got lists nested {depth} deep"
+        raise ValidationError(f"assignment {problem}") from None
     if arr.ndim != 2 or arr.shape[0] != 4:
         raise ValidationError(
             f"assignment must have one row per basis state (4), got shape {arr.shape}"

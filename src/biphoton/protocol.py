@@ -287,17 +287,17 @@ class ProtocolReport:
     conditional_j: tuple
     inconclusive_probability: float
 
-    def _rows(self):
-        """The ``Branch`` fields of every branch, in order, off the arrays; a
-        residual comes as its array, over the first ``ndim`` photons of the
-        kept pair and the register."""
+    @functools.cached_property
+    def branches(self) -> tuple:
+        """The table as ``Branch`` records, built off the arrays on first access."""
         readings = _labels(len(self.j_register))
+        register = KEPT_PAIR + self.j_register
         # Views of each pair's residuals as one state, the reading axis last.
-        joint = (16,) + (2,) * (len(KEPT_PAIR) + len(self.j_register))
+        joint = (16,) + (2,) * len(register)
         joint_states = self.residuals.transpose(0, 2, 3, 1).reshape(joint)
         probabilities = self.probabilities.tolist()
-        _, _, branches, _ = _branch_table(self.mode, self.analyzer)
-        for k, j in branches:
+        rows = []
+        for k, j in _branch_table(self.mode, self.analyzer)[2]:
             b15, b26 = _PAIRS[k]
             if j is None:  # one branch, its probability in column 0
                 p, reading, fix, kind = probabilities[k][0], None, (), "inconclusive"
@@ -305,19 +305,12 @@ class ProtocolReport:
                 p, fix = probabilities[k][j], self.corrections[k]
                 reading, kind = readings[j] or None, "correctable" if fix else "success"
             if p < ZERO_PROBABILITY:
-                yield b15, b26, reading, p, fix, "zero", None, None
-            else:
-                state = joint_states[k] if j is None else self.residuals[k, j]
-                yield b15, b26, reading, p, fix, kind, j, state
-
-    @functools.cached_property
-    def branches(self) -> tuple:
-        """The table as ``Branch`` records, built on first access."""
-        register = KEPT_PAIR + self.j_register
-        return tuple(
-            Branch(*row, None if state is None else Ket(register[: state.ndim], state))
-            for *row, state in self._rows()
-        )
+                rows.append(Branch(b15, b26, reading, p, fix, "zero"))
+                continue
+            state = joint_states[k] if j is None else self.residuals[k, j]
+            residual = Ket(register[: state.ndim], state)
+            rows.append(Branch(b15, b26, reading, p, fix, kind, j, residual))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -389,7 +382,7 @@ def run_protocol(
     rows, accepted, branches, _ = _branch_table(mode, analyzer)
     fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
     for k in rows:  # CORRECTIONS is read on every call
-        fixes[k] = corrections_for(_PAIRS[k])
+        fixes[k] = tuple(corrections_for(_PAIRS[k]))
         for correction in fixes[k]:
             signs[k] *= _SIGN_MASKS[correction]
     # An accepted pair splits into one unit residual per reading; any other
@@ -462,6 +455,7 @@ def compare_reports(
     shows: the run must succeed with ``w * len(accepted) * sum(p_j)``, with the
     ``p_j`` renormalized (if both successes reach ``ZERO_PROBABILITY``), and
     each success residual must match the oracle's state up to global phase.
+    The branch probabilities must sum to one.
     """
     _check_tol(tol)
     mismatches = []
@@ -483,6 +477,10 @@ def compare_reports(
                 )
 
     probabilities = report.probabilities.tolist()
+    # Every branch in report order: the zeros beside a pair's total add nothing.
+    total = functools.reduce(operator.add, itertools.chain(*probabilities))
+    if abs(total - 1.0) > tol:
+        mismatches.append(f"probabilities sum to {total:.12g}, not 1")
     for index, k, j in cells:  # only accepted rows hold successes
         if probabilities[k][j] < ZERO_PROBABILITY:
             continue

@@ -528,6 +528,19 @@ def test_load_config_rejects_bad_values_with_its_message(overrides, message):
         assert str(excinfo.value) == message
 
 
+def test_an_assignment_nested_past_numpys_dimensions_names_its_depth(
+    tmp_path, capsys
+):
+    table = [[1]]
+    for _ in range(68):  # 70 levels of lists, past numpy's 64 dimensions
+        table = [table]
+    path = write_config(tmp_path, base_config(**general_family(assignment=table)))
+    assert main(["verify", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: assignment must be a 4 x J table, got lists nested 70 deep\n"
+    )
+
+
 def test_load_config_accepts_number_subclasses_and_tuple_pairs():
     # Not JSON types, so they take the isinstance test after the exact one.
     cfg = load_config(
@@ -628,6 +641,26 @@ def test_emit_json_corrections_recorded():
     assert len(corrected) == 3
     tables = {tuple(tuple(c) for c in b["corrections"]) for b in corrected}
     assert tables == {((4, "Z"),), ((3, "Z"),), ((3, "Z"), (4, "Z"))}
+
+
+@pytest.mark.parametrize("none", [(), []])
+def test_a_patched_correction_reaches_the_emitted_text(monkeypatch, none):
+    for fmt in ("json", "csv"):  # a writer that kept the corrections is now warm
+        emit_report(parity5_report(), fmt)
+    monkeypatch.setitem(
+        protocol.CORRECTIONS, (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS), none
+    )
+    report = parity5_report()
+    doc = json.loads(emit_report(report, "json"))
+    assert [
+        (b["corrections"], b["classification"])
+        for b in doc["branches"]
+        if (b["bell15"], b["bell26"]) == ("PsiPlus", "PsiMinus")
+    ] == [([], "success(0)"), ([], "zero")]
+    rows = [line.split(",") for line in emit_report(report, "csv").splitlines()]
+    assert [
+        (row[5], row[4]) for row in rows if row[:2] == ["PsiPlus", "PsiMinus"]
+    ] == [("", "success(0)"), ("", "zero")]
 
 
 def test_emit_report_is_deterministic():

@@ -2,8 +2,10 @@
 the projector-algebra oracle."""
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -979,6 +981,47 @@ def test_compare_reports_judges_a_success_cell_of_exactly_zero_probability():
         probabilities[0, 1] = p
         cell = dataclasses.replace(report, probabilities=probabilities)
         assert compare_reports(cell, oracle).mismatches == mismatches
+
+
+def test_compare_reports_accepts_a_probability_sum_off_by_exactly_tol():
+    # Column 1 of the last pair is no branch, and the last value added, so a
+    # value there moves only the sum, to exactly 1 + excess.
+    report, oracle = _even_parity5()
+    total = functools.reduce(operator.add, report.probabilities.ravel().tolist())
+    tol = 2.0**-20  # exact next to 1
+    off = "probabilities sum to %.12g, not 1" % (1 + 2 * tol)
+    for excess, mismatches in ((tol, ()), (2 * tol, (off,))):
+        probabilities = np.array(report.probabilities)
+        probabilities[15, 1] = (1.0 + excess) - total  # exact: both near 1
+        cell = dataclasses.replace(report, probabilities=probabilities)
+        assert compare_reports(cell, oracle, tol).mismatches == mismatches
+
+
+@pytest.mark.parametrize("factor, total", [(1.5, "1.3125"), (0.0, "0.75")])
+def test_compare_reports_fails_a_run_whose_probabilities_do_not_sum_to_one(
+    monkeypatch, factor, total
+):
+    # Scaling the PhiPlus rows on (1, 5) scales a quarter of the weight by
+    # factor**2, yet leaves every success branch and the oracle as they were.
+    bras = protocol._BELL_PAIR_BRAS.copy().reshape(2, 2, 4, 4, 4)
+    bras[:, :, BELL_ORDER.index(PHI_PLUS)] *= factor  # (photon 1, photon 2, b15)
+    monkeypatch.setattr(protocol, "_BELL_PAIR_BRAS", bras.reshape(64, 4))
+    protocol._built_transfer.cache_clear()
+    rng = np.random.default_rng(4402)
+    beta = input_ket(random_unit_vector(rng))
+    haar = family_from_assignment(
+        random_orthonormal_basis(rng), random_assignment(rng, 3)
+    )
+    try:
+        for mode in MODES:
+            family = haar if mode == "general" else parity_family()
+            for analyzer in (LINEAR_ANALYZER, IDEAL_ANALYZER):
+                report = run_protocol(beta, family, mode, analyzer)
+                verdict = compare_reports(report, oracle_report(beta, family))
+                assert not verdict.passed
+                assert f"probabilities sum to {total}, not 1" in verdict.mismatches
+    finally:
+        protocol._built_transfer.cache_clear()
 
 
 # ---------------------------------------------------------------------------
