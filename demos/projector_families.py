@@ -3,12 +3,12 @@
 import numpy as np
 
 from biphoton import (
-    apply_projector,
     basis_ket,
-    expectation,
     family_from_assignment,
+    ket_from_vector,
     parity_family,
     superpose,
+    to_array,
 )
 
 # Any orthonormal two-photon basis (rows, components ordered HH, HV, VH, VV)
@@ -39,8 +39,10 @@ print(np.diag(parity.projectors[0]).real, np.diag(parity.projectors[1]).real)
 state = superpose(
     [(0.6, basis_ket((1, 2), "HH")), (0.8, basis_ket((1, 2), "HV"))]
 )
-print("even-parity weight:", expectation(parity, 0, state))
-print("odd-parity weight: ", expectation(parity, 1, state))
+# An outcome's weight is <state|P_j|state>; its projection is P_j|state>.
+vec = to_array(state)
+print("even-parity weight:", float(np.vdot(vec, parity.projectors[0] @ vec).real))
+print("odd-parity weight: ", float(np.vdot(vec, parity.projectors[1] @ vec).real))
 
-projected = apply_projector(parity, 0, state)
+projected = ket_from_vector((1, 2), parity.projectors[0] @ vec)
 print("even projection:", dict(projected.items()))

@@ -3,11 +3,13 @@ Polarization kets and partial contractions
 ==========================================
 
 Build small photon-register states, take tensor products, and contract
-photons out with partial inner products.  This is the low-level machinery
-everything else in the package is written in.
+photons out with partial inner products.  A ket is one array with an axis per
+photon, so a partial inner product is a ``tensordot`` over the photons' axes.
 """
 
-from biphoton import basis_ket, bell_ket, inner, norm, partial_bra, superpose, tensor
+import numpy as np
+
+from biphoton import basis_ket, bell_ket, from_array, inner, norm, superpose, tensor
 from biphoton.protocol import BellOutcome
 
 isqrt2 = 2 ** -0.5
@@ -28,9 +30,11 @@ pair_35 = superpose(
 joint = tensor(beta, pair_35)
 print("joint register:", joint.register)
 
-# Contracting <PsiPlus(1,5)| out of the joint state leaves photons 2 and 3
-# (in their original order) holding an unnormalized residual.
-residual = partial_bra(psi_plus, joint)
+# Contracting <PsiPlus(1,5)| out of the joint state (axes 0 and 3 of the
+# register (1, 2, 3, 5)) leaves photons 2 and 3, in their original order,
+# holding an unnormalized residual.
+amplitudes = np.tensordot(psi_plus.array.conj(), joint.array, axes=([0, 1], [0, 3]))
+residual = from_array((2, 3), amplitudes)
 print("residual register:", residual.register)
 print("residual:", dict(residual.items()))
 print("residual weight:", norm(residual) ** 2)

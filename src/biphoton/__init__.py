@@ -16,15 +16,11 @@ from biphoton.auxprep import (
     build_parity_aux4,
     build_parity_aux5,
     conjugate_partner,
-    encode_j_one_photon,
-    encode_j_two_photon,
 )
 from biphoton.measurement import (
     BASIS_LABELS,
     ProjectorFamily,
     TwoPhotonBasis,
-    apply_projector,
-    expectation,
     family_from_assignment,
     ket_from_vector,
     parity_family,
@@ -41,7 +37,6 @@ from biphoton.protocol import (
     OracleStatistics,
     ProtocolReport,
     Verdict,
-    apply_corrections,
     bell_ket,
     compare_reports,
     corrections_for,
@@ -52,13 +47,11 @@ from biphoton.statevec import (
     DegenerateStateError,
     Ket,
     ValidationError,
-    apply_one_photon,
     basis_ket,
     from_array,
     inner,
     norm,
     normalize,
-    partial_bra,
     phase_equal,
     superpose,
     tensor,
@@ -82,9 +75,6 @@ __all__ = [
     "TwoPhotonBasis",
     "ValidationError",
     "Verdict",
-    "apply_corrections",
-    "apply_one_photon",
-    "apply_projector",
     "basis_ket",
     "bell_ket",
     "build_general_aux",
@@ -93,9 +83,6 @@ __all__ = [
     "compare_reports",
     "conjugate_partner",
     "corrections_for",
-    "encode_j_one_photon",
-    "encode_j_two_photon",
-    "expectation",
     "family_from_assignment",
     "from_array",
     "inner",
@@ -104,7 +91,6 @@ __all__ = [
     "normalize",
     "oracle_report",
     "parity_family",
-    "partial_bra",
     "phase_equal",
     "run_protocol",
     "superpose",

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from biphoton import measurement
-from biphoton.measurement import BASIS_LABELS, ProjectorFamily, TwoPhotonBasis
+from biphoton.measurement import ProjectorFamily, TwoPhotonBasis
 from biphoton.statevec import (
     Ket,
     ValidationError,
     _check_int,
     _ket,
     _prune,
-    basis_ket,
     complex_product,
     from_array,
 )
@@ -46,8 +45,6 @@ __all__ = [
     "J_REGISTER_ONE",
     "AuxState",
     "conjugate_partner",
-    "encode_j_two_photon",
-    "encode_j_one_photon",
     "build_general_aux",
     "build_parity_aux5",
     "build_parity_aux4",
@@ -80,22 +77,6 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> K
         raise ValidationError(f"basis row index {i} out of range 0..3")
     partner = basis.states[i, ::-1].conj()  # the flip reverses (HH, HV, VH, VV)
     return from_array(register, partner)
-
-
-def encode_j_two_photon(j: int) -> Ket:
-    """Outcome ``j`` written into two photons: 0..3 -> HH, HV, VH, VV."""
-    _check_int(j, "two-photon outcome index")
-    if not 0 <= j < 4:
-        raise ValidationError(f"two-photon outcome index {j} out of range 0..3")
-    return basis_ket(J_REGISTER_TWO, BASIS_LABELS[j])
-
-
-def encode_j_one_photon(j: int) -> Ket:
-    """Outcome ``j`` written into one photon: 0 -> H, 1 -> V."""
-    _check_int(j, "one-photon outcome index")
-    if j not in (0, 1):
-        raise ValidationError(f"one-photon outcome index {j} out of range 0..1")
-    return basis_ket(J_REGISTER_ONE, "H" if j == 0 else "V")
 
 
 def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:

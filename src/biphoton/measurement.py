@@ -23,11 +23,9 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     Ket,
     ValidationError,
-    _check_int,
     _check_tol,
     complex_product,
     from_array,
-    norm,
     to_array,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "family_from_assignment",
     "shared_family",
     "parity_family",
-    "apply_projector",
-    "expectation",
     "two_photon_vector",
     "ket_from_vector",
 ]
@@ -221,14 +217,6 @@ def parity_family() -> ProjectorFamily:
     return family_from_assignment(states, table)
 
 
-def _require_outcome(family: ProjectorFamily, j: int) -> None:
-    _check_int(j, "outcome index")
-    if not 0 <= j < family.n_outcomes:
-        raise ValidationError(
-            f"outcome index {j} out of range for a {family.n_outcomes}-outcome family"
-        )
-
-
 def two_photon_vector(state: Ket) -> np.ndarray:
     """Dense 4-vector of a two-photon ket over (HH, HV, VH, VV)."""
     if len(state.register) != 2:
@@ -247,21 +235,3 @@ def ket_from_vector(register, vec) -> Ket:
     if len(reg) != 2:
         raise ValidationError(f"register must name two photons, got {reg}")
     return from_array(reg, arr)
-
-
-def apply_projector(family: ProjectorFamily, j: int, state: Ket) -> Ket:
-    """Project a two-photon ket onto outcome ``j`` (unnormalized result)."""
-    _require_outcome(family, j)
-    vec = two_photon_vector(state)
-    return ket_from_vector(state.register, family.projectors[j] @ vec)
-
-
-def expectation(family: ProjectorFamily, j: int, state: Ket) -> float:
-    """Outcome probability ``<state|P_j|state>`` for a normalized state."""
-    _require_outcome(family, j)
-    n = norm(state)
-    if abs(n - 1.0) > DEFAULT_TOL:
-        raise ValidationError(f"expectation requires a normalized state, norm={n:.6g}")
-    vec = two_photon_vector(state)
-    value = np.vdot(vec, family.projectors[j] @ vec).real
-    return float(min(max(value, 0.0), 1.0))

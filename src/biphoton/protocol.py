@@ -53,7 +53,6 @@ from biphoton.statevec import (
     _check_tol,
     _labels,
     _prune,
-    apply_one_photon,
     basis_ket,
     complex_product,
     norm,
@@ -77,7 +76,6 @@ __all__ = [
     "Verdict",
     "bell_ket",
     "corrections_for",
-    "apply_corrections",
     "run_protocol",
     "oracle_report",
     "compare_reports",
@@ -222,14 +220,6 @@ def corrections_for(pair) -> tuple:
         raise ValidationError(
             f"no local phase correction exists for Bell pair ({names})"
         ) from None
-
-
-def apply_corrections(pair, residual: Ket) -> Ket:
-    """Apply the pair's phase corrections to a teleported residual."""
-    corrected = residual
-    for photon, gate in corrections_for(pair):
-        corrected = apply_one_photon(_GATES[gate], photon, corrected)
-    return corrected
 
 
 @dataclass(frozen=True)

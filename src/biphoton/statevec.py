@@ -22,8 +22,9 @@ Numeric policy, followed by every module:
 * rounding: complex products that reach a report (the general resource, the
   residual contraction) and the projectors go through ``complex_product``:
   real arithmetic, terms added in index order, so no bit depends on layout or
-  batch shape.  ``tensor`` uses it too, though no run calls it; the oracle
-  and the other reference helpers do not;
+  batch shape.  ``tensor`` uses it too, though no run calls it.  The numpy
+  (BLAS) products left bear on verdicts only: the oracle's ``@``, the Gram
+  check's ``@`` in ``TwoPhotonBasis`` and ``np.vdot`` in ``inner``/``norm``;
 * entry: ``from_array`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
@@ -54,8 +55,6 @@ __all__ = [
     "complex_product",
     "tensor",
     "inner",
-    "partial_bra",
-    "apply_one_photon",
     "norm",
     "normalize",
     "phase_equal",
@@ -264,46 +263,6 @@ def inner(a: Ket, b: Ket) -> complex:
             f"inner product register mismatch: {a.register} != {b.register}"
         )
     return complex(np.vdot(a.array, b.array))
-
-
-def partial_bra(bra: Ket, state: Ket) -> Ket:
-    """Contract ``<bra|`` against a subset of ``state``'s photons.
-
-    Every photon of ``bra.register`` must occur in ``state.register``.
-    The result lives on the remaining photons in their original order
-    and is *not* normalized: its squared norm is the probability of the
-    outcome ``bra`` (for normalized ``bra`` and ``state``).  Contracting
-    the full register yields a state on the empty register whose single
-    amplitude is ``inner(bra, state)``.
-    """
-    for p in bra.register:
-        if p not in state.register:
-            raise ValidationError(
-                f"bra photon {p} not in state register {state.register}"
-            )
-    positions = [state.register.index(p) for p in bra.register]
-    out = np.tensordot(
-        bra.array.conj(), state.array, axes=(range(len(positions)), positions)
-    )
-    rest = tuple(p for p in state.register if p not in bra.register)
-    return _ket(rest, out)
-
-
-def apply_one_photon(op, photon: int, state: Ket) -> Ket:
-    """Apply a 2x2 operator to a single photon of ``state``.
-
-    ``op`` is any array-like indexed ``op[row][col]`` with the basis
-    order (H, V): the image of ``|H>`` is ``op[0][0]|H> + op[1][0]|V>``.
-    """
-    mat = np.asarray(op, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValidationError(f"one-photon operator must be 2x2, got {mat.shape}")
-    if photon not in state.register:
-        raise ValidationError(
-            f"photon {photon} not in state register {state.register}"
-        )
-    pos = state.register.index(photon)
-    return _ket(state.register, mat @ state.array.reshape(2**pos, 2, -1))
 
 
 def norm(state: Ket) -> float:

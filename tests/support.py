@@ -141,6 +141,18 @@ def dense_bell_pair_residual(total8_or_7, bell15, bell26, n_photons):
     return contract(BELL_VECTORS[bell26], (0, 3), after15)
 
 
+def dense_corrected(corrections, residual):
+    """A dense residual on photons (3, 4, ...) after ``(photon, "Z")`` phase
+    corrections: Z = diag(1, -1) on photon p is a +-1 factor on axis p - 3."""
+    out = np.array(residual, dtype=complex)
+    for photon, gate in corrections:
+        assert gate == "Z", f"no dense form for gate {gate!r}"
+        v_slice = [slice(None)] * out.ndim
+        v_slice[photon - 3] = 1
+        out[tuple(v_slice)] *= -1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference report layout
 # ---------------------------------------------------------------------------

@@ -21,31 +21,27 @@ from biphoton.measurement import (
 )
 from biphoton.protocol import (
     BellOutcome,
-    apply_corrections,
-    bell_ket,
     compare_reports,
+    corrections_for,
     oracle_report,
     run_protocol,
 )
-from biphoton.statevec import (
-    basis_ket,
-    norm,
-    partial_bra,
-    phase_equal,
-    superpose,
-    tensor,
-)
+from biphoton.statevec import basis_ket, from_array, phase_equal, superpose
 
 from support import (
     BASIS_LABELS,
     BELL_VECTORS,
     contract,
+    dense_bell_pair_residual,
+    dense_corrected,
     dense_parity_aux4,
     dense_probability,
+    dense_state,
     dense_total,
     random_orthonormal_basis,
     random_assignment,
     random_unit_vector,
+    two_photon_tensor,
 )
 
 TOL = 1e-10
@@ -104,24 +100,23 @@ def test_criterion_3_reference_contraction_norm_and_decomposition():
     projected input tagged with its outcome-register state."""
     rng = np.random.default_rng(33)
     for _ in range(N_INSTANCES):
-        family, beta_vec, beta = random_instance(rng)
-        total = tensor(beta, auxprep.build_general_aux(family).ket)
-        res = partial_bra(bell_ket(PSI_PLUS, (1, 5)), total)
-        res = partial_bra(bell_ket(PSI_PLUS, (2, 6)), res)
-        assert norm(res) == pytest.approx(0.25, abs=TOL)
-        expected = superpose(
-            [
-                (
-                    1.0,
-                    tensor(
-                        ket_from_vector((3, 4), family.projectors[j] @ beta_vec),
-                        auxprep.encode_j_two_photon(j),
-                    ),
-                )
-                for j in range(family.n_outcomes)
-            ]
+        family, beta_vec, _ = random_instance(rng)
+        total = dense_total(beta_vec, auxprep.build_general_aux(family).ket.array)
+        res = dense_bell_pair_residual(total, "PsiPlus", "PsiPlus", 8)
+        assert np.linalg.norm(res) == pytest.approx(0.25, abs=TOL)
+        expected = sum(
+            np.multiply.outer(
+                two_photon_tensor(family.projectors[j] @ beta_vec),
+                dense_state({BASIS_LABELS[j]: 1.0}, 2),
+            )
+            for j in range(family.n_outcomes)
         )
-        assert phase_equal(res, expected, tol=TOL)
+        kept_and_register = (3, 4, 7, 8)
+        assert phase_equal(
+            from_array(kept_and_register, res),
+            from_array(kept_and_register, expected),
+            tol=TOL,
+        )
     print("criterion 3 (reference contraction norm 1/4, decomposition): PASS")
 
 
@@ -154,17 +149,16 @@ def test_criterion_5_corrections_recover_the_reference_residual():
         (PSI_MINUS, PSI_MINUS),
     ]
     for _ in range(N_INSTANCES):
-        beta = ket_from_vector((1, 2), random_unit_vector(rng))
-        total = tensor(beta, auxprep.build_parity_aux5().ket)
+        beta_vec = random_unit_vector(rng)
+        total = dense_total(beta_vec, auxprep.build_parity_aux5().ket.array)
 
-        def residual(pair, state=total):
-            res = partial_bra(bell_ket(pair[0], (1, 5)), state)
-            return partial_bra(bell_ket(pair[1], (2, 6)), res)
+        def residual(pair, state=total):  # on photons (3, 4, 7)
+            return dense_bell_pair_residual(state, pair[0].value, pair[1].value, 7)
 
-        reference = residual((PSI_PLUS, PSI_PLUS))
+        reference = from_array((3, 4, 7), residual((PSI_PLUS, PSI_PLUS)))
         for pair in pairs:
-            corrected = apply_corrections(pair, residual(pair))
-            assert phase_equal(corrected, reference, tol=TOL)
+            corrected = dense_corrected(corrections_for(pair), residual(pair))
+            assert phase_equal(from_array((3, 4, 7), corrected), reference, tol=TOL)
     print("criterion 5 (corrections recover the reference residual): PASS")
 
 

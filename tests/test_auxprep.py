@@ -1,5 +1,4 @@
-"""Tests for conjugate-partner states, outcome-register encodings and
-auxiliary resource construction."""
+"""Tests for conjugate-partner states and auxiliary resource construction."""
 
 from types import SimpleNamespace
 
@@ -11,8 +10,6 @@ from biphoton.auxprep import (
     build_parity_aux4,
     build_parity_aux5,
     conjugate_partner,
-    encode_j_one_photon,
-    encode_j_two_photon,
 )
 from biphoton.measurement import (
     TwoPhotonBasis,
@@ -26,12 +23,17 @@ from biphoton.statevec import (
     from_array,
     inner,
     norm,
-    partial_bra,
     phase_equal,
     superpose,
 )
 
-from support import random_orthonormal_basis, random_assignment
+from support import (
+    BASIS_LABELS,
+    contract,
+    dense_state,
+    random_assignment,
+    random_orthonormal_basis,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -82,28 +84,6 @@ def test_conjugate_partner_index_range():
     basis = validate_basis(np.eye(4))
     with pytest.raises(ValidationError):
         conjugate_partner(basis, 4)
-
-
-def test_encode_j_two_photon():
-    expected = {0: "HH", 1: "HV", 2: "VH", 3: "VV"}
-    for j, labels in expected.items():
-        ket = encode_j_two_photon(j)
-        assert ket.register == (7, 8)
-        assert ket.amplitude(labels) == 1
-    for j in range(4):
-        for k in range(4):
-            overlap = inner(encode_j_two_photon(j), encode_j_two_photon(k))
-            assert overlap == (1 if j == k else 0)
-    with pytest.raises(ValidationError):
-        encode_j_two_photon(4)
-
-
-def test_encode_j_one_photon():
-    assert encode_j_one_photon(0).amplitude("H") == 1
-    assert encode_j_one_photon(1).amplitude("V") == 1
-    assert encode_j_one_photon(0).register == (7,)
-    with pytest.raises(ValidationError):
-        encode_j_one_photon(2)
 
 
 def test_general_aux_for_parity_family():
@@ -217,24 +197,21 @@ def test_parity_aux5_is_general_aux_with_one_photon_register():
     """The 5-photon resource is the general 6-photon resource for the
     parity family with each two-photon outcome state replaced by the
     matching one-photon encoding."""
-    general = build_general_aux(parity_family()).ket
-    five = build_parity_aux5().ket
+    general = build_general_aux(parity_family()).ket.array
+    five = build_parity_aux5().ket.array
     for j in (0, 1):
-        from_general = partial_bra(encode_j_two_photon(j), general)
-        from_five = partial_bra(encode_j_one_photon(j), five)
-        assert from_general.register == from_five.register == (3, 4, 5, 6)
-        for labels in set(from_general.components) | set(from_five.components):
-            assert from_general.amplitude(labels) == pytest.approx(
-                from_five.amplitude(labels)
-            )
+        from_general = contract(dense_state({BASIS_LABELS[j]: 1.0}, 2), (4, 5), general)
+        from_five = contract(dense_state({"HV"[j]: 1.0}, 1), (4,), five)
+        assert from_general.shape == from_five.shape == (2, 2, 2, 2)  # (3, 4, 5, 6)
+        assert from_general.ravel() == pytest.approx(from_five.ravel())
 
 
 def test_parity_aux4_is_even_branch_of_aux5():
-    five = build_parity_aux5().ket
+    five = build_parity_aux5().ket.array
     four = build_parity_aux4().ket
-    even_branch = partial_bra(encode_j_one_photon(0), five)
-    assert phase_equal(even_branch, four)
-    assert norm(even_branch) == pytest.approx(1 / SQRT2)
+    even_branch = contract(dense_state({"H": 1.0}, 1), (4,), five)
+    assert phase_equal(from_array((3, 4, 5, 6), even_branch), four)
+    assert np.linalg.norm(even_branch) == pytest.approx(1 / SQRT2)
 
 
 def test_conjugate_partner_matches_the_checked_construction():

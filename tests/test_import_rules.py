@@ -6,9 +6,13 @@ else under ``tests``) the check would compare the code with itself.
 
 The same AST walk keeps each input rule in one module: ``statevec`` alone
 defines the index, real-number and tolerance checks and imports ``numbers``.
+It also keeps BLAS off the functions whose results reach report bytes, and
+the exports checks keep every ``__all__`` name alive, with each package
+re-export the very object its module defines.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import biphoton
@@ -86,3 +90,93 @@ def test_rule_owners_are_seen():
     assert defined_functions(source) == {"_is_real", "_check_tol"}
     for line in ("import numbers", "from numbers import Real", "import numbers as n"):
         assert [name.split(".")[0] for name in imported_names(line)][0] == "numbers"
+
+
+#: The functions whose results reach report bytes, by module.
+BYTE_PATH = {
+    "cli.py": ("load_config", "_norm", "parse_ket", "_complex_entry",
+               "_input_components", "_family_from_value", "emit_report",
+               "_report_texts", "_layout", "_number", "_family_json", "_listing",
+               "_object"),
+    "protocol.py": ("run_protocol", "_built_transfer", "_branch_table"),
+    "auxprep.py": ("_resource", "conjugate_partner"),
+    "statevec.py": ("complex_product", "_prune", "_ket", "from_array"),
+}
+#: Calls that numpy may hand to BLAS, whose summation order depends on the
+#: kernel; so may ``@`` and anything under ``linalg``.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "outer", "kron"}
+
+
+def blas_uses(tree):
+    """Each ``@``, ``@=``, call named in ``BLAS_CALLS`` and ``linalg`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if isinstance(node.op, ast.MatMult):
+                found.append("@")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in BLAS_CALLS:
+                found.append(ast.unparse(func))
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg") or (
+            isinstance(node, ast.Name) and node.id == "linalg"
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_blas_call_reaches_report_bytes():
+    # The one exception is exact: each row of protocol._BELL_PAIR_BRAS has
+    # one nonzero entry (tests/test_numeric_policy.py pins that).
+    found = {}
+    for module, names in BYTE_PATH.items():
+        tree = ast.parse((PACKAGE / module).read_text("utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs), module
+        for name in names:
+            if uses := blas_uses(defs[name]):
+                found[f"{module}:{name}"] = uses
+    assert found == {"protocol.py:_built_transfer": ["@"]}
+
+
+def test_blas_uses_are_seen():
+    # The check above would pass vacuously if it could not see BLAS calls.
+    for source in (
+        "x = a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)",
+        "inner(a, b)", "np.matmul(a, b)", "np.tensordot(a, b, 1)",
+        "np.einsum('i,i', a, b)", "np.multiply.outer(a, b)", "np.kron(a, b)",
+        "np.linalg.norm(a)", "linalg.norm(a)",
+    ):
+        assert len(blas_uses(ast.parse(source))) == 1, source
+    for source in ("a * b", "np.add(a, b)", "complex_product(a, b)", "a.real"):
+        assert blas_uses(ast.parse(source)) == [], source
+
+
+SUBMODULES = [
+    importlib.import_module(f"biphoton.{path.stem}")
+    for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem != "__init__"
+]
+
+
+def test_every_exported_name_resolves():
+    for module in [biphoton, *SUBMODULES]:
+        stale = [name for name in module.__all__ if not hasattr(module, name)]
+        assert stale == [], module.__name__
+
+
+def test_each_package_export_is_its_module_object():
+    source = (PACKAGE / "__init__.py").read_text("utf-8")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == set(biphoton.__all__) - {"__version__"}
+    for name in imported:
+        owners = [module for module in SUBMODULES if name in module.__all__]
+        assert owners, name
+        for module in owners:
+            assert getattr(module, name) is getattr(biphoton, name), name

@@ -6,14 +6,13 @@ import pytest
 from biphoton.measurement import (
     BASIS_LABELS,
     TwoPhotonBasis,
-    apply_projector,
-    expectation,
     family_from_assignment,
     ket_from_vector,
     parity_family,
     two_photon_vector,
     validate_basis,
 )
+from biphoton.protocol import oracle_report
 from biphoton.statevec import ValidationError, basis_ket, norm, normalize, superpose
 
 from support import random_orthonormal_basis, random_assignment, random_unit_vector
@@ -105,59 +104,45 @@ def test_parity_family_projectors():
 
 def test_apply_projector_parity():
     fam = parity_family()
-    state = superpose(
-        [
-            (1 / np.sqrt(2), basis_ket((1, 2), "HH")),
-            (1 / np.sqrt(2), basis_ket((1, 2), "HV")),
-        ]
-    )
-    even = apply_projector(fam, 0, state)
-    assert even.amplitude("HH") == pytest.approx(1 / np.sqrt(2))
-    assert even.amplitude("HV") == 0
-    odd = apply_projector(fam, 1, state)
-    assert odd.amplitude("HV") == pytest.approx(1 / np.sqrt(2))
+    vec = np.array([1, 1, 0, 0]) / np.sqrt(2)  # (|HH> + |HV>)/sqrt(2)
+    even = fam.projectors[0] @ vec
+    assert even[0] == pytest.approx(1 / np.sqrt(2))
+    assert even[1] == 0
+    odd = fam.projectors[1] @ vec
+    assert odd[1] == pytest.approx(1 / np.sqrt(2))
     # fully even state is left untouched, fully odd state is annihilated
-    hh = basis_ket((1, 2), "HH")
-    assert apply_projector(fam, 0, hh).amplitude("HH") == pytest.approx(1)
-    assert len(apply_projector(fam, 1, hh)) == 0
-
-
-def test_apply_projector_range_check():
-    fam = parity_family()
-    with pytest.raises(ValidationError):
-        apply_projector(fam, 2, basis_ket((1, 2), "HH"))
-    with pytest.raises(ValidationError):
-        apply_projector(fam, -1, basis_ket((1, 2), "HH"))
-    with pytest.raises(ValidationError):
-        apply_projector(fam, 0, basis_ket((1, 2, 3), "HHH"))
+    hh = np.array([1, 0, 0, 0])
+    assert (fam.projectors[0] @ hh)[0] == pytest.approx(1)
+    assert not (fam.projectors[1] @ hh).any()
 
 
 def test_expectation_values():
     fam = parity_family()
-    assert expectation(fam, 0, basis_ket((1, 2), "HH")) == pytest.approx(1.0)
+    assert oracle_report(basis_ket((1, 2), "HH"), fam).probabilities[0] == (
+        pytest.approx(1.0)
+    )
     mixed = superpose(
         [
             (1 / np.sqrt(2), basis_ket((1, 2), "HH")),
             (1 / np.sqrt(2), basis_ket((1, 2), "HV")),
         ]
     )
-    assert expectation(fam, 0, mixed) == pytest.approx(0.5)
-    assert expectation(fam, 1, mixed) == pytest.approx(0.5)
+    assert oracle_report(mixed, fam).probabilities == pytest.approx((0.5, 0.5))
 
 
 def test_expectation_requires_normalized_state():
     fam = parity_family()
     with pytest.raises(ValidationError):
-        expectation(fam, 0, superpose([(2.0, basis_ket((1, 2), "HH"))]))
+        oracle_report(superpose([(2.0, basis_ket((1, 2), "HH"))]), fam)
 
 
 def test_expectation_checks_the_norm_within_default_tol():
     fam = parity_family()
     off = superpose([(1.0 + 1e-9, basis_ket((1, 2), "HH"))])  # norm 1 + 1e-9
     with pytest.raises(ValidationError, match="normalized"):
-        expectation(fam, 0, off)
+        oracle_report(off, fam)
     close = superpose([(1.0 + 1e-11, basis_ket((1, 2), "HH"))])
-    assert expectation(fam, 0, close) == pytest.approx(1.0)
+    assert oracle_report(close, fam).probabilities[0] == pytest.approx(1.0)
 
 
 def test_vector_round_trip():
@@ -178,6 +163,11 @@ def test_ket_from_vector_rejects_bad_shapes():
         ket_from_vector((1, 2), [1, 0, 0])
     with pytest.raises(ValidationError, match="register must name two photons"):
         ket_from_vector((1, 2, 3), [1, 0, 0, 0])
+
+
+def test_two_photon_vector_rejects_other_registers():
+    with pytest.raises(ValidationError, match="expected a two-photon state"):
+        two_photon_vector(basis_ket((1, 2, 3), "HHH"))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -207,16 +197,13 @@ def test_apply_projector_matches_matrix_oracle(seed):
     )
     vec = random_unit_vector(rng)
     ket = normalize(ket_from_vector((1, 2), vec))
-    probs = []
-    for j in range(fam.n_outcomes):
-        projected = apply_projector(fam, j, ket)
-        np.testing.assert_allclose(
-            two_photon_vector(projected), fam.projectors[j] @ vec, atol=1e-10
-        )
-        p = expectation(fam, j, ket)
-        assert p == pytest.approx(norm(projected) ** 2, abs=1e-10)
-        probs.append(p)
-    assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+    oracle = oracle_report(ket, fam)  # applies every P_j to the input at once
+    for j, (p, state) in enumerate(zip(oracle.probabilities, oracle.states)):
+        image = fam.projectors[j] @ vec  # the matrix oracle
+        projected = np.sqrt(p) * two_photon_vector(state)
+        np.testing.assert_allclose(projected, image, atol=1e-10)
+        assert p == pytest.approx(np.vdot(image, image).real, abs=1e-10)
+    assert sum(oracle.probabilities) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_projectors_are_exactly_hermitian():

@@ -8,6 +8,8 @@ literal anywhere else is a threshold drifting back in.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import biphoton
 import biphoton.auxprep as auxprep
 import biphoton.cli as cli
@@ -121,3 +123,18 @@ def test_protocol_totals_add_left_to_right():
         and node.func.id == "sum"
     ]
     assert calls == []
+
+
+def test_each_bell_pair_bra_row_has_one_real_entry():
+    """``_built_transfer`` applies ``_BELL_PAIR_BRAS`` to the resource with
+    numpy's ``@``, which goes through BLAS, and BLAS kernels add a dot product
+    in different orders.  With exactly one nonzero entry per row, real and the
+    same ±0.5000000000000001 (1/√2 squared, as rounded), every entry of ``T``
+    is one rounded product beside exact zeros, so that ``@`` gives the same
+    bits on every OpenBLAS kernel."""
+    bras = protocol._BELL_PAIR_BRAS
+    assert bras.shape == (64, 4)
+    for row in bras:
+        (column,) = np.flatnonzero(row)
+        assert row[column].imag == 0.0
+        assert abs(row[column].real) == 0.5000000000000001

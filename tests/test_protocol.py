@@ -17,7 +17,6 @@ import biphoton.protocol as protocol
 from biphoton.cli import emit_report
 from biphoton.measurement import (
     ProjectorFamily,
-    apply_projector,
     family_from_assignment,
     ket_from_vector,
     parity_family,
@@ -31,7 +30,6 @@ from biphoton.protocol import (
     MODES,
     AnalyzerModel,
     BellOutcome,
-    apply_corrections,
     bell_ket,
     compare_reports,
     corrections_for,
@@ -45,10 +43,10 @@ from biphoton.statevec import (
     ValidationError,
     basis_ket,
     complex_product,
+    from_array,
     inner,
     norm,
     normalize,
-    partial_bra,
     phase_equal,
     superpose,
     tensor,
@@ -59,6 +57,8 @@ from support import (
     BELL_VECTORS,
     branch_walk_mismatches,
     contract,
+    dense_bell_pair_residual,
+    dense_corrected,
     dense_from_ket,
     dense_general_aux,
     dense_probability,
@@ -67,6 +67,7 @@ from support import (
     random_orthonormal_basis,
     random_assignment,
     random_unit_vector,
+    two_photon_tensor,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -138,27 +139,36 @@ def test_correction_table():
         corrections_for((PHI_PLUS, PSI_PLUS))
 
 
+def test_a_z_correction_is_a_sign_on_its_kept_photon_axis():
+    # Z = diag(1, -1): on photon 4 of 0.5(|HV> + |VH>)_34 it flips |HV>.
+    state = np.array([[0.0, 0.5], [0.5, 0.0]])
+    assert (state * protocol._SIGN_MASKS[(4, "Z")]).tolist() == [[0, -0.5], [0.5, 0]]
+    assert (state * protocol._SIGN_MASKS[(3, "Z")]).tolist() == [[0, 0.5], [-0.5, 0]]
+    assert set(protocol._SIGN_MASKS) == {(3, "Z"), (4, "Z")}
+    for correction, mask in protocol._SIGN_MASKS.items():
+        assert (state * mask == dense_corrected([correction], state)).all()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_corrections_map_accepted_residuals_onto_reference(seed):
     """Every accepted Bell pair's residual, after its phase corrections,
     matches the (PsiPlus, PsiPlus) reference residual."""
     rng = np.random.default_rng(300 + seed)
-    beta = input_ket(random_unit_vector(rng))
-    total = tensor(beta, auxprep.build_parity_aux5().ket)
+    beta_vec = random_unit_vector(rng)
+    total = dense_total(beta_vec, auxprep.build_parity_aux5().ket.array)
 
-    def pair_residual(b15, b26):
-        res = partial_bra(bell_ket(b15, (1, 5)), total)
-        return partial_bra(bell_ket(b26, (2, 6)), res)
+    def pair_residual(b15, b26):  # on photons (3, 4, 7)
+        return dense_bell_pair_residual(total, b15.value, b26.value, 7)
 
-    reference = pair_residual(PSI_PLUS, PSI_PLUS)
+    reference = from_array((3, 4, 7), pair_residual(PSI_PLUS, PSI_PLUS))
     for pair in [
         (PSI_PLUS, PSI_MINUS),
         (PSI_MINUS, PSI_PLUS),
         (PSI_MINUS, PSI_MINUS),
     ]:
-        corrected = apply_corrections(pair, pair_residual(*pair))
-        assert phase_equal(corrected, reference, tol=1e-10)
-        assert norm(corrected) == pytest.approx(0.25, abs=1e-10)
+        corrected = dense_corrected(corrections_for(pair), pair_residual(*pair))
+        assert phase_equal(from_array((3, 4, 7), corrected), reference, tol=1e-10)
+        assert np.linalg.norm(corrected) == pytest.approx(0.25, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +272,22 @@ def test_accepted_pair_residual_decomposes_over_outcomes():
     family = family_from_assignment(
         random_orthonormal_basis(rng), random_assignment(rng, 3)
     )
-    beta = input_ket(beta_vec)
-    total = tensor(beta, auxprep.build_general_aux(family).ket)
-    res = partial_bra(bell_ket(PSI_PLUS, (1, 5)), total)
-    res = partial_bra(bell_ket(PSI_PLUS, (2, 6)), res)
-    assert norm(res) == pytest.approx(0.25, abs=1e-10)
-    expected = superpose(
-        [
-            (
-                1.0,
-                tensor(
-                    ket_from_vector((3, 4), family.projectors[j] @ beta_vec),
-                    auxprep.encode_j_two_photon(j),
-                ),
-            )
-            for j in range(family.n_outcomes)
-        ]
+    total = dense_total(beta_vec, auxprep.build_general_aux(family).ket.array)
+    res = dense_bell_pair_residual(total, "PsiPlus", "PsiPlus", 8)
+    assert np.linalg.norm(res) == pytest.approx(0.25, abs=1e-10)
+    expected = sum(
+        np.multiply.outer(
+            two_photon_tensor(family.projectors[j] @ beta_vec),
+            dense_state({BASIS_LABELS[j]: 1.0}, 2),
+        )
+        for j in range(family.n_outcomes)
     )
-    assert phase_equal(res, expected, tol=1e-10)
+    kept_and_register = (3, 4, 7, 8)
+    assert phase_equal(
+        from_array(kept_and_register, res),
+        from_array(kept_and_register, expected),
+        tol=1e-10,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1134,15 +1142,15 @@ def test_oracle_matches_projecting_one_outcome_at_a_time():
         oracle = oracle_report(beta, fam)
         assert len(oracle.probabilities) == len(oracle.states) == fam.n_outcomes
         for j, (p, state) in enumerate(zip(oracle.probabilities, oracle.states)):
-            image = apply_projector(fam, j, beta)
+            image = fam.projectors[j] @ two_photon_vector(beta)
             assert isinstance(p, float)
-            assert p == pytest.approx(norm(image) ** 2, abs=1e-15)
+            assert p == pytest.approx(np.vdot(image, image).real, abs=1e-15)
             if p < ZERO_PROBABILITY:
                 assert state is None
                 continue
             assert state.register == (3, 4) and not state.array.flags.writeable
             assert norm(state) == pytest.approx(1.0, abs=1e-15)
-            target = ket_from_vector((3, 4), two_photon_vector(image))
+            target = ket_from_vector((3, 4), image)
             assert phase_equal(state, normalize(target), tol=1e-15)
 
 

@@ -4,31 +4,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import biphoton.statevec as statevec
-from biphoton.auxprep import conjugate_partner, encode_j_one_photon, encode_j_two_photon
-from biphoton.measurement import apply_projector, expectation, parity_family, validate_basis
+from biphoton.auxprep import conjugate_partner
+from biphoton.measurement import validate_basis
 from biphoton.statevec import (
     DegenerateStateError,
     Ket,
     ValidationError,
-    apply_one_photon,
     basis_ket,
     from_array,
     inner,
     norm,
     normalize,
-    partial_bra,
     phase_equal,
     superpose,
     tensor,
     to_array,
 )
 
+from support import contract, dense_probability, dense_state
+
 SQRT2 = math.sqrt(2.0)
-Z = [[1, 0], [0, -1]]
 
 
 # ---------------------------------------------------------------------------
@@ -75,36 +74,12 @@ def test_basis_ket_rejects_bad_input():
         ),
         pytest.param(lambda: superpose([]), "at least one term", id="no-terms"),
         pytest.param(
-            lambda: apply_one_photon(np.eye(3), 1, basis_ket((1,), "H")),
-            r"must be 2x2, got \(3, 3\)", id="3x3-operator",
-        ),
-        pytest.param(
-            lambda: apply_projector(parity_family(), True, basis_ket((1, 2), "HV")),
-            "outcome index True is not", id="bool-outcome-apply",
-        ),
-        pytest.param(
-            lambda: expectation(parity_family(), False, basis_ket((1, 2), "HH")),
-            "outcome index False is not", id="bool-outcome-expectation",
-        ),
-        pytest.param(
-            lambda: expectation(parity_family(), 1.0, basis_ket((1, 2), "HH")),
-            "outcome index 1.0 is not", id="float-outcome",
-        ),
-        pytest.param(
             lambda: conjugate_partner(validate_basis(np.eye(4)), True),
             "basis row index True is not", id="bool-row",
         ),
         pytest.param(
             lambda: conjugate_partner(validate_basis(np.eye(4)), 1.5),
             "basis row index 1.5 is not", id="float-row",
-        ),
-        pytest.param(
-            lambda: encode_j_two_photon(1.0), "two-photon outcome index 1.0 is not",
-            id="float-two-photon-j",
-        ),
-        pytest.param(
-            lambda: encode_j_one_photon(True), "one-photon outcome index True is not",
-            id="bool-one-photon-j",
         ),
     ],
 )
@@ -214,85 +189,6 @@ def test_inner_bell_overlap():
 def test_inner_register_mismatch():
     with pytest.raises(ValidationError):
         inner(basis_ket((1, 2), "HH"), basis_ket((2, 1), "HH"))
-
-
-def test_partial_bra_single_photon():
-    res = partial_bra(basis_ket((1,), "H"), basis_ket((1, 2), "HH"))
-    assert res.register == (2,)
-    assert res.amplitude("H") == 1
-
-
-def test_partial_bra_is_unnormalized_projection():
-    # <H|_1 on (|HH> + |VV>)/sqrt(2) leaves |H>_2 with amplitude 1/sqrt(2)
-    state = superpose(
-        [
-            (1 / SQRT2, basis_ket((1, 2), "HH")),
-            (1 / SQRT2, basis_ket((1, 2), "VV")),
-        ]
-    )
-    res = partial_bra(basis_ket((1,), "H"), state)
-    assert res.amplitude("H") == pytest.approx(1 / SQRT2)
-    assert norm(res) ** 2 == pytest.approx(0.5)
-
-
-def test_partial_bra_double_bell_contraction():
-    # |HH>_{12} (x) (|HHVV> + |VVHH>)_{3456}/sqrt(2), contracted against
-    # PsiPlus on photons (1,5) then (2,6), leaves (1/(2*sqrt(2)))|HH>_{34}:
-    # outcome probability 1/8.
-    aux = superpose(
-        [
-            (1 / SQRT2, basis_ket((3, 4, 5, 6), "HHVV")),
-            (1 / SQRT2, basis_ket((3, 4, 5, 6), "VVHH")),
-        ]
-    )
-    total = tensor(basis_ket((1, 2), "HH"), aux)
-    psi15 = superpose(
-        [
-            (1 / SQRT2, basis_ket((1, 5), "HV")),
-            (1 / SQRT2, basis_ket((1, 5), "VH")),
-        ]
-    )
-    psi26 = superpose(
-        [
-            (1 / SQRT2, basis_ket((2, 6), "HV")),
-            (1 / SQRT2, basis_ket((2, 6), "VH")),
-        ]
-    )
-    res = partial_bra(psi26, partial_bra(psi15, total))
-    assert res.register == (3, 4)
-    assert res.amplitude("HH") == pytest.approx(1 / (2 * SQRT2))
-    assert norm(res) ** 2 == pytest.approx(1 / 8)
-
-
-def test_partial_bra_full_register_gives_scalar():
-    state = basis_ket((1, 2), "HV")
-    res = partial_bra(state, state)
-    assert res.register == ()
-    assert res.amplitude("") == pytest.approx(1.0)
-
-
-def test_partial_bra_requires_subset():
-    with pytest.raises(ValidationError):
-        partial_bra(basis_ket((9,), "H"), basis_ket((1, 2), "HH"))
-
-
-def test_apply_one_photon_z():
-    assert apply_one_photon(Z, 3, basis_ket((3,), "H")).amplitude("H") == 1
-    assert apply_one_photon(Z, 3, basis_ket((3,), "V")).amplitude("V") == -1
-    state = superpose(
-        [
-            (0.5, basis_ket((3, 4), "HV")),
-            (0.5, basis_ket((3, 4), "VH")),
-        ]
-    )
-    flipped = apply_one_photon(Z, 4, state)
-    assert flipped.amplitude("HV") == pytest.approx(-0.5)
-    assert flipped.amplitude("VH") == pytest.approx(0.5)
-
-
-def test_apply_one_photon_unknown_photon():
-    with pytest.raises(ValidationError):
-        apply_one_photon(Z, 9, basis_ket((1,), "H"))
 
 
 def test_normalize_and_degenerate():
@@ -433,28 +329,11 @@ def test_inner_conjugate_symmetry(a, b):
 def test_orthonormal_contractions_conserve_probability(state):
     total = 0.0
     for labels in ("HH", "HV", "VH", "VV"):
-        res = partial_bra(basis_ket((1, 2), labels), state)
-        total += norm(res) ** 2
+        res = contract(dense_state({labels: 1.0}, 2), (0, 1), state.array)
+        total += dense_probability(res)
     assert total == pytest.approx(norm(state) ** 2, abs=1e-9)
-
-
-@given(ket_strategy((1,)), ket_strategy((2, 3)), ket_strategy((1, 2, 3)))
-def test_partial_bra_is_adjoint_of_tensor(bra, rest, state):
-    lhs = inner(partial_bra(bra, state), rest)
-    rhs = inner(state, tensor(bra, rest))
-    assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 @given(ket_strategy((1,)), ket_strategy((2,)))
 def test_tensor_norm_is_multiplicative(a, b):
     assert norm(tensor(a, b)) == pytest.approx(norm(a) * norm(b), abs=1e-9)
-
-
-@settings(deadline=None)
-@given(ket_strategy((1, 2)), st.integers(0, 2**32 - 1))
-def test_one_photon_unitary_preserves_norm(state, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(m)
-    rotated = apply_one_photon(q, 1, state)
-    assert norm(rotated) == pytest.approx(norm(state), abs=1e-9)
