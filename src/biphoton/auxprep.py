@@ -57,11 +57,9 @@ J_REGISTER_ONE = (7,)
 
 @dataclass(frozen=True)
 class AuxState:
-    """An auxiliary resource with its photon roles spelled out."""
+    """An auxiliary resource on ``KEPT_PAIR + PARTNER_PAIR + j_register``."""
 
     ket: Ket
-    kept: tuple[int, ...]
-    partners: tuple[int, ...]
     j_register: tuple[int, ...]
 
 
@@ -90,10 +88,10 @@ def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
         conjugate_partner(family.basis, i).array.reshape(4) for i in rows
     ]
     amplitudes = len(rows) ** -0.5 * complex_product(
-        kept.T[:, None, None, :], columns.transpose(1, 2, 0), contract=True
+        kept.T[:, None, None, :], columns.transpose(1, 2, 0)
     )
     ket = _ket(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes)
-    return AuxState(ket, KEPT_PAIR, PARTNER_PAIR, j_register)
+    return AuxState(ket, j_register)
 
 
 def build_general_aux(family: ProjectorFamily) -> AuxState:

@@ -68,7 +68,6 @@ from biphoton.statevec import (
     _is_real,
     _ket,
     _labels,
-    from_array,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "KetSyntaxError",
     "RunConfig",
     "parse_ket",
-    "format_ket",
     "load_config",
     "read_config",
     "emit_report",
@@ -174,26 +172,12 @@ def parse_ket(text: str) -> np.ndarray:
 
 
 def _number(x):
-    """Floats as reports and ket expressions print them: 17 significant
-    digits, ``-0`` as ``0``.  A float gives one text; an array gives the
-    texts of its values in C order, formatted in one call."""
+    """Floats as reports print them: 17 significant digits, ``-0`` as ``0``.
+    A float gives one text; an array gives the texts of its values in C
+    order, formatted in one call."""
     flat = np.ravel(x) + 0.0  # adding +0.0 turns -0.0 into 0.0, nothing else
     texts = ("%.17g " * flat.size % tuple(flat.tolist())).split()
     return texts if np.ndim(x) else texts[0]
-
-
-def format_ket(components) -> str:
-    """Inverse of :func:`parse_ket` (up to float formatting)."""
-    text = ""
-    for label, amp in from_array(INPUT_PAIR, components).items():
-        if amp.imag != 0.0:
-            text += f" + ({_number(amp.real)},{_number(amp.imag)})*|{label}>"
-        else:
-            sign = "-" if amp.real < 0 else "+"
-            text += f" {sign} {_number(abs(amp.real))}*|{label}>"
-    if not text:
-        return "0*|HH>"
-    return text[3:] if text[1] == "+" else "-" + text[3:]  # first sign unspaced
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
     # P_j[m, n] = sum_i pi[i][j] a^i_m conj(a^i_n), one expression for every j:
     # products rounded as complex_product rounds them make P_j exactly Hermitian.
     weighted = table.T[:, None, None, :] * a[None, :, None, :]
-    projectors = _frozen(complex_product(weighted, a.conj(), contract=True))
+    projectors = _frozen(complex_product(weighted, a.conj()))
     return ProjectorFamily(basis, table, projectors)
 
 

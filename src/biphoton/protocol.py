@@ -191,14 +191,9 @@ def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.n
     return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
 
 
-_GATES = {"Z": np.array([[1, 0], [0, -1]], dtype=complex)}
-
-#: Every gate is diagonal, so a (photon, gate) correction is a +-1 mask on
-#: that photon's axis of the kept pair.
-_SIGN_MASKS = {
-    (photon, name): np.expand_dims(gate.diagonal().real, 1 - axis)
-    for axis, photon in enumerate(KEPT_PAIR) for name, gate in _GATES.items()
-}
+#: Z = diag(1, -1), so a (photon, "Z") correction is a +-1 mask on that
+#: photon's axis of the kept pair (3, 4).
+_SIGN_MASKS = {(3, "Z"): np.array([[1.0], [-1.0]]), (4, "Z"): np.array([[1.0, -1.0]])}
 
 #: Local corrections mapping each accepted Bell pair onto the
 #: (PsiPlus, PsiPlus) reference channel.  Keys are (outcome on photons
@@ -367,7 +362,7 @@ def run_protocol(
     t = _built_transfer(preset or family, j_register, auxprep.conjugate_partner)
 
     beta = two_photon_vector(input_state)
-    residuals = complex_product(t, beta, contract=True)
+    residuals = complex_product(t, beta)
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
     rows, accepted, branches, _ = _branch_table(mode, analyzer)
     fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))

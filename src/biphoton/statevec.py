@@ -21,10 +21,11 @@ Numeric policy, followed by every module:
   number by ``_is_real``, in (0, 1) by ``_check_tol``), else ``DEFAULT_TOL``;
 * rounding: complex products that reach a report (the general resource, the
   residual contraction) and the projectors go through ``complex_product``:
-  real arithmetic, terms added in index order, so no bit depends on layout or
-  batch shape.  ``tensor`` uses it too, though no run calls it.  The numpy
-  (BLAS) products left bear on verdicts only: the oracle's ``@``, the Gram
-  check's ``@`` in ``TwoPhotonBasis`` and ``np.vdot`` in ``inner``/``norm``;
+  real arithmetic, terms added in index order over the last axis, so no bit
+  depends on layout or batch shape.  ``tensor`` uses it too, as a sum of one
+  term, though no run calls it.  The numpy (BLAS) products left bear on
+  verdicts only: the oracle's ``@``, the Gram check's ``@`` in
+  ``TwoPhotonBasis`` and ``np.vdot`` in ``inner``/``norm``;
 * entry: ``from_array`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
@@ -231,14 +232,14 @@ def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
     return _ket(register, sum(coeff * ket.array for coeff, ket in terms))
 
 
-def complex_product(x, y, contract: bool = False) -> np.ndarray:
+def complex_product(x, y) -> np.ndarray:
     """``x * y`` of broadcast complex arrays as ``xr*yr - xi*yi`` and ``xr*yi +
     xi*yr``, each real product rounded once (so ``a * conj(a)`` is exactly
-    real); with ``contract``, summed over the last axis in index order."""
+    real), summed over the last axis in index order."""
     re = x.real * y.real - x.imag * y.imag
     im = x.real * y.imag + x.imag * y.real
-    if contract:  # part.T[k] is the transpose of part[..., k]
-        re, im = (functools.reduce(np.add, part.T).T for part in (re, im))
+    # part.T[k] is the transpose of part[..., k]
+    re, im = (functools.reduce(np.add, part.T).T for part in (re, im))
     out = re.astype(complex)
     out.imag = im
     return out
@@ -252,7 +253,8 @@ def tensor(a: Ket, b: Ket) -> Ket:
     overlap = set(a.register) & set(b.register)
     if overlap:
         raise ValidationError(f"tensor registers share photons {sorted(overlap)}")
-    product = complex_product(a.array.reshape(-1, 1), b.array.reshape(1, -1))
+    # A sum over one term is the plain product, bit for bit.
+    product = complex_product(a.array.reshape(-1, 1, 1), b.array.reshape(1, -1, 1))
     return _ket(a.register + b.register, product)
 
 

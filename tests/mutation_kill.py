@@ -39,14 +39,13 @@ PACKAGE = Path("src") / "biphoton"
 
 #: The functions mutated, by module: the orthonormality, number, tolerance
 #: and index rules, the config reader and the entry reader built on them, the
-#: ket grammar and its writer, the check that a parity mode's family lies
-#: within ``tol`` of the parity projectors, the resource and the one compiler
-#: of ``T`` from it, and the verdict.
+#: ket grammar, the check that a parity mode's family lies within ``tol`` of
+#: the parity projectors, the resource and the one compiler of ``T`` from it,
+#: and the verdict.
 TARGETS = {
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
     "statevec.py": ("_check_int", "_is_real", "_check_tol"),
-    "cli.py": ("_complex_entry", "parse_ket", "format_ket", "read_config",
-               "load_config"),
+    "cli.py": ("_complex_entry", "parse_ket", "read_config", "load_config"),
     "protocol.py": ("_is_parity", "_built_transfer", "compare_reports"),
     "auxprep.py": ("_resource",),
 }
@@ -56,17 +55,11 @@ BUDGET_S = 15 * 60
 #: Surviving mutants that cannot change behaviour, by the id ``mutants``
 #: gives them, each with the reason it is equivalent.
 ALLOWED = {
-    "cli.py:format_ket: `amp.real < 0` -> `amp.real <= 0` (#1)": (
-        "from_array prunes an amplitude whose real and imaginary parts are "
-        "both 0, so that branch never sees amp.real == 0"
-    ),
-    **{
-        f"protocol.py:_built_transfer: constant `1` -> `10` (#{k})": (
-            "the 1 of a -1 reshape size: numpy reads any negative size as the "
-            "one inferred dimension, so -10 gives the shape -1 gives"
-        )
-        for k in (1, 3, 4)
-    },
+    f"protocol.py:_built_transfer: constant `1` -> `10` (#{k})": (
+        "the 1 of a -1 reshape size: numpy reads any negative size as the "
+        "one inferred dimension, so -10 gives the shape -1 gives"
+    )
+    for k in (1, 3, 4)
 }
 
 PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -89,8 +89,6 @@ def test_conjugate_partner_index_range():
 def test_general_aux_for_parity_family():
     aux = build_general_aux(parity_family())
     assert aux.ket.register == (3, 4, 5, 6, 7, 8)
-    assert aux.kept == (3, 4)
-    assert aux.partners == (5, 6)
     assert aux.j_register == (7, 8)
     expected = {
         "HHVVHH": 0.5,  # |HH>|VV>, outcome 0

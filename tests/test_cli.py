@@ -17,7 +17,6 @@ from biphoton.cli import (
     KetSyntaxError,
     ParseError,
     emit_report,
-    format_ket,
     load_config,
     main,
     parse_ket,
@@ -109,18 +108,30 @@ def test_ket_syntax_error_is_parse_error():
     assert issubclass(KetSyntaxError, ParseError)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_format_parse_round_trip(seed):
-    rng = np.random.default_rng(2000 + seed)
-    vec = random_unit_vector(rng)
-    if seed % 3 == 0:
-        vec = vec.real / np.linalg.norm(vec.real)  # exercise the real form
-    text = format_ket(vec)
-    np.testing.assert_allclose(parse_ket(text), vec, atol=1e-12)
-
-
-def test_format_ket_zero_vector():
-    assert parse_ket(format_ket(np.zeros(4))).tolist() == [0, 0, 0, 0]
+@pytest.mark.parametrize(
+    "text,components",
+    [
+        (
+            "(0.062065228929842731,0.21425782938604368)*|HH> + "
+            "(-0.36850425982067214,-0.38162720207680523)*|HV>",
+            [0.062065228929842731 + 0.21425782938604368j,
+             -0.36850425982067214 - 0.38162720207680523j, 0, 0],
+        ),
+        (
+            "-0.16230704281015981*|HH> - 0.052292804816244522*|HV> + "
+            "0.9479082821331769*|VV>",
+            [-0.16230704281015981, -0.052292804816244522, 0, 0.9479082821331769],
+        ),
+        (
+            "-1.0000000000000001e-05*|HH> + (0,0.5)*|VH> + (-0.25,-0.5)*|VV>",
+            [-1.0000000000000001e-05, 0, 0.5j, -0.25 - 0.5j],
+        ),
+        ("0*|HH>", [0, 0, 0, 0]),
+    ],
+    ids=["signed-pairs", "signed-reals", "exponent-and-pairs", "zero"],
+)
+def test_parse_reads_17_digit_and_signed_pair_coefficients_exactly(text, components):
+    assert parse_ket(text).tolist() == components
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ else under ``tests``) the check would compare the code with itself.
 
 The same AST walk keeps each input rule in one module: ``statevec`` alone
 defines the index, real-number and tolerance checks and imports ``numbers``.
-It also keeps BLAS off the functions whose results reach report bytes, and
-the exports checks keep every ``__all__`` name alive, with each package
+It also keeps BLAS off the functions whose results reach report bytes and
+lists the BLAS calls that bear on verdicts, and the exports checks keep every ``__all__`` name alive, with each package
 re-export the very object its module defines.
 """
 
@@ -138,6 +138,45 @@ def test_no_blas_call_reaches_report_bytes():
             if uses := blas_uses(defs[name]):
                 found[f"{module}:{name}"] = uses
     assert found == {"protocol.py:_built_transfer": ["@"]}
+
+
+#: The functions whose results decide a verdict, by module; a method by its
+#: qualified name.
+VERDICT_PATH = {
+    "protocol.py": ("oracle_report", "compare_reports", "_validate_input"),
+    "statevec.py": ("phase_equal", "inner", "norm", "_nonzero_norm"),
+    "measurement.py": ("TwoPhotonBasis.__post_init__",),
+}
+
+
+def qualified_functions(tree, prefix=""):
+    """Every function defined at module or class level in ``tree``, by qualified name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[prefix + node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update(qualified_functions(node, f"{prefix}{node.name}."))
+    return found
+
+
+def test_the_blas_calls_that_bear_on_verdicts_are_these():
+    # Their summation order depends on the OpenBLAS kernel, so a verdict at the
+    # tol margin can move with it; no further such call may join them unseen.
+    found = {}
+    for module, names in VERDICT_PATH.items():
+        defs = qualified_functions(ast.parse((PACKAGE / module).read_text("utf-8")))
+        assert set(names) <= set(defs), module
+        for name in names:
+            if uses := blas_uses(defs[name]):
+                found[f"{module}:{name}"] = uses
+    assert found == {
+        "protocol.py:oracle_report": ["@"],
+        "statevec.py:inner": ["np.vdot"],
+        "statevec.py:norm": ["np.vdot"],
+        "statevec.py:phase_equal": ["inner"],  # statevec.inner: the vdot above
+        "measurement.py:TwoPhotonBasis.__post_init__": ["@"],
+    }
 
 
 def test_blas_uses_are_seen():

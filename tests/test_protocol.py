@@ -552,14 +552,14 @@ def test_contraction_bytes_ignore_layout_and_batch_shape(mode, analyzer):
     }[mode]()
     t = compiled_transfer(family, aux.j_register)
     inputs = np.array([random_unit_vector(rng) for _ in range(64)])
-    batch = complex_product(t[None], inputs[:, None, None, None, None], contract=True)
+    batch = complex_product(t[None], inputs[:, None, None, None, None])
     readings = {"general": BASIS_LABELS, "parity5": "HV", "parity4": ()}[mode]
     pairs = [(a, b) for a in BELL_ORDER for b in BELL_ORDER]
     for k, vec in enumerate(inputs):
-        alone = complex_product(t, vec, contract=True)
+        alone = complex_product(t, vec)
         assert np.array_equal(batch[k], alone)
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            assert np.array_equal(complex_product(layout(t), vec, contract=True), alone)
+            assert np.array_equal(complex_product(layout(t), vec), alone)
         weights = (alone.real**2 + alone.imag**2).sum(axis=-1).reshape(16, -1)
         pooled = weights.sum(axis=1)
         report = run_protocol(input_ket(vec), family, mode, analyzer)

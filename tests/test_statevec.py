@@ -259,6 +259,23 @@ def test_tensor_of_conjugate_amplitudes_has_exactly_real_diagonal():
                 assert product[k1, k2, k1, k2].imag == 0.0
 
 
+def test_tensor_bits_are_the_written_out_product_rule():
+    rng = np.random.default_rng(11)
+    for n_a in (1, 2, 3):
+        for n_b in (1, 2, 3):
+            a, b = (
+                from_array(register, rng.normal(size=size) + 1j * rng.normal(size=size))
+                for register, size in ((range(n_a), 2**n_a), (range(9, 9 + n_b), 2**n_b))
+            )
+            x, y = a.array.reshape(-1, 1), b.array.reshape(1, -1)
+            want = np.empty((x.size, y.size), dtype=complex)
+            want.real = x.real * y.real - x.imag * y.imag
+            want.imag = x.real * y.imag + x.imag * y.real
+            got = tensor(a, b)
+            assert got.register == a.register + b.register
+            assert got.array.tobytes() == want.tobytes()
+
+
 def test_pruning_threshold_behaviour():
     ket = superpose(
         [
