@@ -24,6 +24,8 @@ from biphoton.statevec import (
     Ket,
     ValidationError,
     _check_tol,
+    _is_real,
+    _numbers,
     complex_product,
     from_array,
     to_array,
@@ -61,12 +63,10 @@ class TwoPhotonBasis:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol):  # keeps a read-only copy of the rows
-        arr = _frozen(np.array(self.states, dtype=complex))
+        arr = _frozen(_numbers(self.states, "basis entry"))
         if arr.shape != (4, 4):
             raise ValidationError(f"basis must be 4x4, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("basis contains non-finite entries")
-        gram = arr @ arr.conj().T
+        gram = complex_product(arr[:, None], arr.conj())
         dev = np.abs(gram - np.eye(4))
         if dev.max() > _check_tol(tol):
             i, k = np.unravel_index(int(dev.argmax()), dev.shape)
@@ -128,7 +128,8 @@ def _validate_assignment(table) -> np.ndarray:
         raise ValidationError(
             f"number of outcomes must be between 1 and {MAX_OUTCOMES}, got {n_outcomes}"
         )
-    if not ((arr == 0) | (arr == 1)).all():
+    entries = arr.ravel().tolist()  # real numbers or bools, never complex
+    if not all((type(v) is bool or _is_real(v)) and v in (0, 1) for v in entries):
         raise ValidationError("assignment entries must be 0 or 1")
     row_sums = arr.sum(axis=1)
     if not (row_sums == 1).all():
@@ -160,17 +161,15 @@ def family_from_assignment(basis, assignment) -> ProjectorFamily:
 
 def _table_key(assignment):
     """``assignment`` as a tuple of row tuples, or None where it is not a list
-    of lists of hashable entries (a string, an object, rows that hold lists)."""
+    of lists of real or boolean entries: ``1+0j`` equals and hashes as ``1``,
+    but validation refuses it, so it must not find ``1``'s family."""
     if not isinstance(assignment, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in assignment
     ):
         return None
     table = tuple(map(tuple, assignment))
-    try:
-        hash(table)
-    except TypeError:
-        return None
-    return table
+    real = all(type(v) is bool or _is_real(v) for row in table for v in row)
+    return table if real else None
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,9 +187,9 @@ def shared_family(states, assignment, tol: float = DEFAULT_TOL) -> ProjectorFami
     of row tuples (``1``, ``1.0`` and ``True`` validate alike) and ``tol``;
     the last 32 families are kept.  Only successes are kept, so a failure
     raises its message every time; rows that are not 4x4 and a table that is
-    not a list of lists of hashable entries go the uncached way.
+    not a list of lists of real or boolean entries go the uncached way.
     """
-    rows = np.asarray(states, dtype=complex)
+    rows = _numbers(states, "basis entry")
     table = _table_key(assignment)
     if rows.shape != (4, 4) or table is None:
         return family_from_assignment(validate_basis(rows, tol), assignment)
@@ -228,7 +227,7 @@ def two_photon_vector(state: Ket) -> np.ndarray:
 
 def ket_from_vector(register, vec) -> Ket:
     """Two-photon ket from a 4-vector over (HH, HV, VH, VV)."""
-    arr = np.asarray(vec, dtype=complex)
+    arr = _numbers(vec, "amplitude")
     if arr.shape != (4,):
         raise ValidationError(f"expected 4 components, got shape {arr.shape}")
     reg = tuple(register)

@@ -116,8 +116,10 @@ def bell_ket(kind: BellOutcome, pair) -> Ket:
 
 #: ``<b15| (x) <b26|`` on the partner photons (5, 6), shape (64, 4): rows are
 #: (photon 1, photon 2, b15, b26), so the input photons stay open.
-_BELL_BRAS = np.array([bell_ket(kind, (1, 5)).array.conj() for kind in BELL_ORDER])
-_BELL_PAIR_BRAS = np.einsum("aip,bjq->ijabpq", _BELL_BRAS, _BELL_BRAS).reshape(64, 4)
+_BELL_BRAS = np.stack([bell_ket(b, (1, 5)).array.conj() for b in BELL_ORDER], 1)
+_BELL_PAIR_BRAS = complex_product(  # a sum of one term: (1, 2, b15, b26, 5, 6)
+    _BELL_BRAS.reshape(2, 1, 4, 1, 2, 1, 1), _BELL_BRAS.reshape(1, 2, 1, 4, 1, 2, 1)
+).reshape(64, 4)
 
 #: Bell pairs (outcome on (1,5), outcome on (2,6)) in report order.
 _PAIRS = tuple(itertools.product(BELL_ORDER, repeat=2))
@@ -186,7 +188,8 @@ def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.n
     the rule that ``auxprep._resource`` finds in place, is only part of the key."""
     resource = auxprep._resource(family, j_register).ket.array.reshape(4, 4, -1)
     # (kept, partners, r); each bra row has one nonzero entry: one rounded product.
-    t = _BELL_PAIR_BRAS @ resource.transpose(1, 2, 0).reshape(4, -1)
+    columns = resource.transpose(2, 0, 1).reshape(-1, 4)  # (r, kept) by partners
+    t = complex_product(_BELL_PAIR_BRAS[:, None], columns)
     t.flags.writeable = False  # and so every view of it
     return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
 
@@ -420,7 +423,7 @@ def oracle_report(
     can be compared directly with teleported residuals.
     """
     _validate_input(input_state, tol)
-    images = family.projectors @ two_photon_vector(input_state)
+    images = complex_product(family.projectors, two_photon_vector(input_state))
     probabilities = (images.real**2 + images.imag**2).sum(axis=1)
     live = probabilities >= ZERO_PROBABILITY
     units = _prune(images / np.sqrt(np.where(live, probabilities, 1.0))[:, None])

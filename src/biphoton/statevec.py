@@ -19,19 +19,14 @@ Numeric policy, followed by every module:
   input with ``norm**2`` below it is rejected; totals still add it;
 * agreement: no component differs by more than the caller's ``tol`` (a real
   number by ``_is_real``, in (0, 1) by ``_check_tol``), else ``DEFAULT_TOL``;
-* rounding: complex products that reach a report (the general resource, the
-  residual contraction) and the projectors go through ``complex_product``:
-  real arithmetic, terms added in index order over the last axis, so no bit
-  depends on layout or batch shape.  ``tensor`` uses it too, as a sum of one
-  term, though no run calls it.  The numpy (BLAS) products left bear on
-  verdicts only: the oracle's ``@``, the Gram check's ``@`` in
-  ``TwoPhotonBasis`` and ``np.vdot`` in ``inner``/``norm``;
-* entry: ``from_array`` checks caller amplitudes, ``_ket`` wraps derived ones.
+* rounding: every sum of complex products follows ``complex_product``'s rule
+  (``_sums`` too): each real product rounded once, terms added in index order,
+  no BLAS, so no bit depends on layout, batch shape or kernel;
+* entry: ``_numbers`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -176,6 +171,18 @@ def _is_real(value) -> bool:
     return kind in (float, int) or kind is not bool and isinstance(value, numbers.Real)
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as complex, each a finite ``numbers.Number`` but a bool, or named."""
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    for value in arr.flat if arr.dtype.kind not in "iufc" else ():
+        if type(value) is bool or not isinstance(value, numbers.Number):
+            raise ValidationError(f"{what} {value!r} is not a number")
+    arr = arr.astype(complex)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"non-finite {what} {arr[~np.isfinite(arr)][0]}")
+    return arr
+
+
 def _check_tol(tol) -> float:
     """A comparison tolerance must be a real number in (0, 1)."""
     if not _is_real(tol):
@@ -216,33 +223,26 @@ def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
     """Linear combination ``sum(coeff * ket)`` of states on one register.
 
     All terms must share the same register (same ids, same order) and
-    every coefficient must be finite.  The result is not normalized.
+    every coefficient must be a finite number.  The result is not normalized.
     """
-    terms = [(complex(coeff), ket) for coeff, ket in terms]
+    terms = list(terms)  # fromiter keeps each coefficient whole, even a list
+    coeffs = _numbers(np.fromiter((c for c, _ in terms), object), "coefficient")
     if not terms:
         raise ValidationError("superpose needs at least one term")
     register = terms[0][1].register
-    for coeff, ket in terms:
+    for _, ket in terms:
         if ket.register != register:
             raise ValidationError(
                 f"register mismatch in superpose: {ket.register} != {register}"
             )
-        if not cmath.isfinite(coeff):
-            raise ValidationError(f"non-finite coefficient {coeff} in superpose")
-    return _ket(register, sum(coeff * ket.array for coeff, ket in terms))
+    return _ket(register, sum(c * ket.array for c, (_, ket) in zip(coeffs, terms)))
 
 
 def complex_product(x, y) -> np.ndarray:
-    """``x * y`` of broadcast complex arrays as ``xr*yr - xi*yi`` and ``xr*yi +
-    xi*yr``, each real product rounded once (so ``a * conj(a)`` is exactly
-    real), summed over the last axis in index order."""
-    re = x.real * y.real - x.imag * y.imag
-    im = x.real * y.imag + x.imag * y.real
-    # part.T[k] is the transpose of part[..., k]
-    re, im = (functools.reduce(np.add, part.T).T for part in (re, im))
-    out = re.astype(complex)
-    out.imag = im
-    return out
+    """``x * y`` of broadcast arrays as ``xr*yr - xi*yi`` and ``xr*yi + xi*yr``,
+    each real product rounded once (so ``a * conj(a)`` is exactly real), added
+    to zero over the last axis in index order: numpy's complex einsum, no BLAS."""
+    return np.einsum("...k,...k->...", x, y, dtype=complex)
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -258,23 +258,31 @@ def tensor(a: Ket, b: Ket) -> Ket:
     return _ket(a.register + b.register, product)
 
 
+def _sums(a: Ket, b: Ket) -> tuple[complex, float, float]:
+    """``<a|b>``, ``<a|a>`` and ``<b|b>`` in one pass, by ``complex_product``'s rule."""
+    if a.register != b.register:
+        raise ValidationError(f"register mismatch: {a.register} != {b.register}")
+    re = im = aa = bb = 0.0
+    for x, y in zip(a.array.reshape(-1).tolist(), b.array.reshape(-1).tolist()):
+        re += x.real * y.real + x.imag * y.imag
+        im += x.real * y.imag - x.imag * y.real
+        aa += x.real * x.real + x.imag * x.imag
+        bb += y.real * y.real + y.imag * y.imag
+    return complex(re, im), aa, bb
+
+
 def inner(a: Ket, b: Ket) -> complex:
     """Inner product ``<a|b>`` of two states on the same register."""
-    if a.register != b.register:
-        raise ValidationError(
-            f"inner product register mismatch: {a.register} != {b.register}"
-        )
-    return complex(np.vdot(a.array, b.array))
+    return _sums(a, b)[0]
 
 
 def norm(state: Ket) -> float:
     """Euclidean norm ``sqrt(sum |amplitude|^2)``."""
-    return math.sqrt(np.vdot(state.array, state.array).real)
+    return math.sqrt(_sums(state, state)[1])
 
 
-def _nonzero_norm(state: Ket, action: str) -> float:
-    """Norm of ``state``; ``DegenerateStateError`` under the amplitude-zero rule."""
-    n = norm(state)
+def _nonzero(n: float, action: str) -> float:
+    """The norm ``n``; ``DegenerateStateError`` under the amplitude-zero rule."""
     if n < math.sqrt(PRUNE_THRESHOLD):  # the same test _ket applies to |a|
         raise DegenerateStateError(f"cannot {action} state of norm {n:g}")
     return n
@@ -282,7 +290,7 @@ def _nonzero_norm(state: Ket, action: str) -> float:
 
 def normalize(state: Ket) -> Ket:
     """Scale to unit norm; raises ``DegenerateStateError`` near zero."""
-    return _ket(state.register, state.array / _nonzero_norm(state, "normalize"))
+    return _ket(state.register, state.array / _nonzero(norm(state), "normalize"))
 
 
 def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
@@ -291,13 +299,14 @@ def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     Both states are scaled to unit norm and ``a`` is rotated onto ``b``'s
     phase through their overlap; every component must then agree within
     ``tol``.  Degenerate (near-zero) inputs raise rather than compare
-    equal.
+    equal.  The overlap and both norms come from one pass (``_sums``).
     """
-    overlap = inner(a, b)
+    overlap, aa, bb = _sums(a, b)
     phase = overlap / abs(overlap) if overlap else 1.0
-    a_unit = a.array * (phase / _nonzero_norm(a, "compare"))
-    b_unit = b.array / _nonzero_norm(b, "compare")
-    return bool((np.abs(a_unit - b_unit) <= tol).all())
+    rotation = phase / _nonzero(math.sqrt(aa), "compare")
+    scale = _nonzero(math.sqrt(bb), "compare")
+    pairs = zip(a.array.reshape(-1).tolist(), b.array.reshape(-1).tolist())
+    return all(abs(x * rotation - y / scale) <= tol for x, y in pairs)
 
 
 def to_array(state: Ket) -> np.ndarray:
@@ -308,9 +317,7 @@ def to_array(state: Ket) -> np.ndarray:
 def from_array(register: Sequence[int], amplitudes) -> Ket:
     """Pruned ket from ``2**n`` finite amplitudes in row-major lexicographic order."""
     reg = _check_register(register)
-    arr = np.asarray(amplitudes, dtype=complex)
+    arr = _numbers(amplitudes, "amplitude")
     if arr.size != 2 ** len(reg):
         raise ValidationError(f"{arr.size} amplitudes for {len(reg)} photons")
-    if not np.isfinite(arr).all():
-        raise ValidationError("state vector has non-finite components")
     return _ket(reg, arr)

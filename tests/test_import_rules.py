@@ -6,9 +6,9 @@ else under ``tests``) the check would compare the code with itself.
 
 The same AST walk keeps each input rule in one module: ``statevec`` alone
 defines the index, real-number and tolerance checks and imports ``numbers``.
-It also keeps BLAS off the functions whose results reach report bytes and
-lists the BLAS calls that bear on verdicts, and the exports checks keep every ``__all__`` name alive, with each package
-re-export the very object its module defines.
+It also allows no BLAS-backed call anywhere in the library, and the exports
+checks keep every ``__all__`` name alive, with each package re-export the very
+object its module defines.
 """
 
 import ast
@@ -92,23 +92,14 @@ def test_rule_owners_are_seen():
         assert [name.split(".")[0] for name in imported_names(line)][0] == "numbers"
 
 
-#: The functions whose results reach report bytes, by module.
-BYTE_PATH = {
-    "cli.py": ("load_config", "_norm", "parse_ket", "_complex_entry",
-               "_input_components", "_family_from_value", "emit_report",
-               "_report_texts", "_layout", "_number", "_family_json", "_listing",
-               "_object"),
-    "protocol.py": ("run_protocol", "_built_transfer", "_branch_table"),
-    "auxprep.py": ("_resource", "conjugate_partner"),
-    "statevec.py": ("complex_product", "_prune", "_ket", "from_array"),
-}
 #: Calls that numpy may hand to BLAS, whose summation order depends on the
-#: kernel; so may ``@`` and anything under ``linalg``.
-BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "outer", "kron"}
+#: kernel; so may ``@``, anything under ``linalg`` and ``einsum`` with ``optimize``.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "outer", "kron"}
 
 
 def blas_uses(tree):
-    """Each ``@``, ``@=``, call named in ``BLAS_CALLS`` and ``linalg`` in ``tree``."""
+    """Each ``@``, ``@=``, call named in ``BLAS_CALLS``, ``einsum`` called with
+    ``optimize`` and ``linalg`` in ``tree``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)):
@@ -117,7 +108,8 @@ def blas_uses(tree):
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in BLAS_CALLS:
+            optimized = any(k.arg == "optimize" for k in node.keywords)
+            if name in BLAS_CALLS or name == "einsum" and optimized:
                 found.append(ast.unparse(func))
         elif (isinstance(node, ast.Attribute) and node.attr == "linalg") or (
             isinstance(node, ast.Name) and node.id == "linalg"
@@ -126,57 +118,38 @@ def blas_uses(tree):
     return found
 
 
-def test_no_blas_call_reaches_report_bytes():
-    # The one exception is exact: each row of protocol._BELL_PAIR_BRAS has
-    # one nonzero entry (tests/test_numeric_policy.py pins that).
-    found = {}
-    for module, names in BYTE_PATH.items():
-        tree = ast.parse((PACKAGE / module).read_text("utf-8"))
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        assert set(names) <= set(defs), module
-        for name in names:
-            if uses := blas_uses(defs[name]):
-                found[f"{module}:{name}"] = uses
-    assert found == {"protocol.py:_built_transfer": ["@"]}
+def einsum_calls(tree):
+    """``(function, keyword names)`` of each ``einsum`` call in ``tree``, where
+    the function is the innermost one around the call, else ``<module>``."""
+    def calls(node):
+        return [
+            call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", "")) == "einsum"
+        ]
 
-
-#: The functions whose results decide a verdict, by module; a method by its
-#: qualified name.
-VERDICT_PATH = {
-    "protocol.py": ("oracle_report", "compare_reports", "_validate_input"),
-    "statevec.py": ("phase_equal", "inner", "norm", "_nonzero_norm"),
-    "measurement.py": ("TwoPhotonBasis.__post_init__",),
-}
-
-
-def qualified_functions(tree, prefix=""):
-    """Every function defined at module or class level in ``tree``, by qualified name."""
-    found = {}
-    for node in tree.body:
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first, so the innermost wins
         if isinstance(node, ast.FunctionDef):
-            found[prefix + node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            found.update(qualified_functions(node, f"{prefix}{node.name}."))
-    return found
+            owner.update((id(call), node.name) for call in calls(node))
+    return [
+        (owner.get(id(call), "<module>"), sorted(k.arg for k in call.keywords))
+        for call in calls(tree)
+    ]
 
 
-def test_the_blas_calls_that_bear_on_verdicts_are_these():
-    # Their summation order depends on the OpenBLAS kernel, so a verdict at the
-    # tol margin can move with it; no further such call may join them unseen.
-    found = {}
-    for module, names in VERDICT_PATH.items():
-        defs = qualified_functions(ast.parse((PACKAGE / module).read_text("utf-8")))
-        assert set(names) <= set(defs), module
-        for name in names:
-            if uses := blas_uses(defs[name]):
-                found[f"{module}:{name}"] = uses
-    assert found == {
-        "protocol.py:oracle_report": ["@"],
-        "statevec.py:inner": ["np.vdot"],
-        "statevec.py:norm": ["np.vdot"],
-        "statevec.py:phase_equal": ["inner"],  # statevec.inner: the vdot above
-        "measurement.py:TwoPhotonBasis.__post_init__": ["@"],
-    }
+def test_no_blas_call_in_the_library():
+    # A BLAS kernel adds a dot product in its own order, so report bytes and a
+    # verdict at the tol margin would move with it.  Every product goes through
+    # statevec.complex_product, one complex einsum without ``optimize``.
+    found, einsums = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        if uses := blas_uses(tree):
+            found[path.name] = uses
+        if calls := einsum_calls(tree):
+            einsums[path.name] = calls
+    assert found == {}
+    assert einsums == {"statevec.py": [("complex_product", ["dtype"])]}
 
 
 def test_blas_uses_are_seen():
@@ -184,12 +157,21 @@ def test_blas_uses_are_seen():
     for source in (
         "x = a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)",
         "inner(a, b)", "np.matmul(a, b)", "np.tensordot(a, b, 1)",
-        "np.einsum('i,i', a, b)", "np.multiply.outer(a, b)", "np.kron(a, b)",
+        "np.einsum('i,i', a, b, optimize=True)",
+        "einsum('i,i', a, b, optimize='greedy')",
+        "np.multiply.outer(a, b)", "np.kron(a, b)",
         "np.linalg.norm(a)", "linalg.norm(a)",
     ):
         assert len(blas_uses(ast.parse(source))) == 1, source
-    for source in ("a * b", "np.add(a, b)", "complex_product(a, b)", "a.real"):
+    for source in (
+        "a * b", "np.add(a, b)", "complex_product(a, b)", "a.real",
+        "np.einsum('i,i', a, b)", "np.einsum('...k,...k->...', x, y, dtype=complex)",
+    ):
         assert blas_uses(ast.parse(source)) == [], source
+    source = "def f(x):\n    return np.einsum('k,k', x, x, dtype=complex)\n"
+    assert einsum_calls(ast.parse("np.einsum('k,k', x, x)\n" + source)) == [
+        ("<module>", []), ("f", ["dtype"])
+    ]
 
 
 SUBMODULES = [

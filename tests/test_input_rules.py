@@ -5,9 +5,12 @@
   ``load_config`` all go through it, so they build or refuse the same rows
   with the same message.
 * Numbers: ``statevec._is_real`` decides what a config entry and a ``tol``
-  may be: any ``numbers.Real`` but a bool.
+  may be: any ``numbers.Real`` but a bool.  ``statevec._numbers`` decides
+  what an amplitude, a basis entry or a coefficient may be: any finite
+  ``numbers.Number`` but a bool, so never a string or ``None``.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +21,18 @@ from biphoton.cli import load_config
 from biphoton.measurement import (
     TwoPhotonBasis,
     family_from_assignment,
+    ket_from_vector,
     shared_family,
     validate_basis,
 )
-from biphoton.statevec import DEFAULT_TOL, ValidationError, _check_tol
+from biphoton.statevec import (
+    DEFAULT_TOL,
+    ValidationError,
+    _check_tol,
+    basis_ket,
+    from_array,
+    superpose,
+)
 
 from support import random_orthonormal_basis
 
@@ -165,3 +176,58 @@ def test_load_config_reads_any_real_number_as_its_float(kind, shape, paired):
     cfg = load_config(number_config(kind, shape, paired))
     assert cfg.input_state == plain.input_state
     assert cfg.family is plain.family
+
+
+def first_row(value):
+    """The identity basis with ``value`` in place of its first entry."""
+    return [[value, 0, 0, 0], *I4[1:].tolist()]
+
+
+#: Every public way to read caller numbers as amplitudes, each given ``value``
+#: in its first place, and the name its message gives that place.
+AMPLITUDE_READERS = {
+    "from_array": (lambda v: from_array((1, 2), [v, 0, 0, 0]), "amplitude"),
+    "ket_from_vector": (lambda v: ket_from_vector((1, 2), [v, 0, 0, 0]), "amplitude"),
+    "TwoPhotonBasis": (  # compared by identity, so by its rows here
+        lambda v: TwoPhotonBasis(first_row(v)).states.tolist(), "basis entry"
+    ),
+    "shared_family": (
+        lambda v: shared_family(first_row(v), PARITY_TABLE), "basis entry"
+    ),
+    "superpose": (
+        lambda v: superpose([(v, basis_ket((1, 2), "HH"))]), "coefficient"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["1", True, None, np.True_, [1]], ids=repr)
+@pytest.mark.parametrize("reader", AMPLITUDE_READERS)
+def test_an_amplitude_that_is_not_a_number_is_rejected_by_name(reader, value):
+    build, what = AMPLITUDE_READERS[reader]
+    assert outcome(lambda: build(value)) == f"{what} {value!r} is not a number"
+
+
+@pytest.mark.parametrize("reader", AMPLITUDE_READERS)
+@pytest.mark.parametrize(
+    "value",
+    [1, 1.0, 1 + 0j, Fraction(1), Decimal(1), np.float32(1), np.int64(1),
+     np.complex128(1)],
+    ids=repr,
+)
+def test_any_number_but_a_bool_is_an_amplitude(reader, value):
+    build, _ = AMPLITUDE_READERS[reader]
+    assert build(value) == build(1.0)
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: from_array((1, 2), ["1", "0", "0", "0"]), "'1'"),
+        (lambda: from_array((1, 2), [True, False, False, False]), "True"),
+        (lambda: from_array((1, 2), np.array([True, False, False, False])), "np.True_"),
+        (lambda: from_array((1, 2), np.array(["1", "0", "0", "0"])), "np.str_('1')"),
+        (lambda: from_array((1, 2), [1, None, 0, 0]), "None"),
+    ],
+)
+def test_from_array_names_the_first_entry_that_is_not_a_number(build, value):
+    assert outcome(build) == f"amplitude {value} is not a number"

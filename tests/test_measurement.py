@@ -1,5 +1,7 @@
 """Tests for orthonormal two-photon bases, outcome assignments and projectors."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from biphoton.measurement import (
     family_from_assignment,
     ket_from_vector,
     parity_family,
+    shared_family,
     two_photon_vector,
     validate_basis,
 )
@@ -89,6 +92,35 @@ def test_family_identity_assignment_gives_rank_one_projectors():
 def test_family_rejects_malformed_assignment(table):
     with pytest.raises(ValidationError):
         family_from_assignment(I4, table)
+
+
+@pytest.mark.filterwarnings("error")  # as under -W error: no numpy warning first
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[1 + 0j], [1], [1], [1]],
+        np.ones((4, 1), dtype=complex),
+        [[Fraction(1)], [1 + 0j], [1], [1]],  # an object table holding a complex
+        [["1"], ["1"], ["1"], ["1"]],
+        [[None], [1], [1], [1]],
+    ],
+    ids=["complex-entry", "complex-array", "object-with-complex", "strings", "none"],
+)
+def test_family_rejects_a_table_that_is_not_real(table):
+    shared_family(I4, [[1], [1], [1], [1]])  # 1 + 0j == 1, and they hash alike
+    for build in (family_from_assignment, shared_family):
+        with pytest.raises(ValidationError) as excinfo:
+            build(I4, table)
+        assert str(excinfo.value) == "assignment entries must be 0 or 1"
+
+
+@pytest.mark.parametrize(
+    "entry", [1, 1.0, True, Fraction(1), np.int64(1), np.float32(1), np.True_],
+    ids=repr,
+)
+def test_family_reads_any_real_or_boolean_one(entry):
+    family = family_from_assignment(I4, [[entry], [1], [1], [1]])
+    assert family.assignment.tolist() == [[1], [1], [1], [1]]
 
 
 def test_parity_family_projectors():

@@ -6,9 +6,11 @@ literal anywhere else is a threshold drifting back in.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import biphoton
 import biphoton.auxprep as auxprep
@@ -126,15 +128,84 @@ def test_protocol_totals_add_left_to_right():
 
 
 def test_each_bell_pair_bra_row_has_one_real_entry():
-    """``_built_transfer`` applies ``_BELL_PAIR_BRAS`` to the resource with
-    numpy's ``@``, which goes through BLAS, and BLAS kernels add a dot product
-    in different orders.  With exactly one nonzero entry per row, real and the
+    """``_built_transfer`` applies ``_BELL_PAIR_BRAS`` to the resource through
+    ``complex_product``.  With exactly one nonzero entry per row, real and the
     same ±0.5000000000000001 (1/√2 squared, as rounded), every entry of ``T``
-    is one rounded product beside exact zeros, so that ``@`` gives the same
-    bits on every OpenBLAS kernel."""
+    is one rounded product beside exact zeros, so ``T`` holds the resource's
+    amplitudes times that one constant whatever order a sum took."""
     bras = protocol._BELL_PAIR_BRAS
     assert bras.shape == (64, 4)
     for row in bras:
         (column,) = np.flatnonzero(row)
         assert row[column].imag == 0.0
         assert abs(row[column].real) == 0.5000000000000001
+
+
+def written_out(x, y):
+    """The rounding rule spelled out one real operation at a time: each term
+    ``xr*yr - xi*yi`` and ``xr*yi + xi*yr``, added to zero in index order."""
+    x, y = np.broadcast_arrays(np.asarray(x, complex), np.asarray(y, complex))
+    re, im = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        xr, xi, yr, yi = x.real[..., k], x.imag[..., k], y.real[..., k], y.imag[..., k]
+        re = re + (xr * yr - xi * yi)
+        im = im + (xr * yi + xi * yr)
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+#: Operand shapes of each call site: the resource, the contraction (J = 4),
+#: the projectors, the Gram check, the oracle, ``tensor``, the Bell-pair bras,
+#: their product with the resource, and ``inner``/``norm`` on six photons.
+CALL_SITES = {
+    "resource": ((4, 1, 1, 4), (4, 4, 4)),
+    "contraction": ((4, 4, 4, 4, 4), (4,)),
+    "projectors": ((4, 4, 1, 4), (4, 4)),
+    "gram": ((4, 1, 4), (4, 4)),
+    "oracle": ((3, 4, 4), (4,)),
+    "tensor": ((4, 1, 1), (1, 16, 1)),
+    "bras": ((2, 1, 4, 1, 2, 1, 1), (1, 2, 1, 4, 1, 2, 1)),
+    "bras-resource": ((64, 1, 4), (16, 4)),
+    "inner": ((64,), (64,)),
+}
+
+
+def operand(rng, shape, kind):
+    real = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    if kind == "real":
+        return real
+    z = real + 1j * rng.normal(size=shape)
+    z[rng.random(shape) < 0.2] = 0  # exact zeros, as pruned amplitudes hold
+    return z
+
+
+@pytest.mark.parametrize("site", CALL_SITES)
+@pytest.mark.parametrize("kinds", [("complex", "complex"), ("real", "complex"),
+                                   ("complex", "real"), ("real", "real")])
+def test_complex_product_is_the_written_out_rule_bit_for_bit(site, kinds):
+    rng, shapes = np.random.default_rng(2500), CALL_SITES[site]
+    for _ in range(20):
+        x, y = (operand(rng, shape, kind) for shape, kind in zip(shapes, kinds))
+        got = statevec.complex_product(x, y)
+        assert got.dtype == complex
+        assert got.tobytes() == written_out(x, y).tobytes()
+        # Neither the layout nor the order of axes in memory moves a bit.
+        flipped = np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+        assert statevec.complex_product(flipped, y).tobytes() == got.tobytes()
+
+
+def test_inner_norm_and_phase_equal_round_as_complex_product():
+    rng = np.random.default_rng(2501)
+    for n in (1, 2, 2, 2, 6):
+        for _ in range(50):
+            x, y = (operand(rng, (2,) * n, "complex") for _ in range(2))
+            a, b = statevec.Ket(tuple(range(n)), x), statevec.Ket(tuple(range(n)), y)
+            xs, ys = x.reshape(-1), y.reshape(-1)
+            overlap = statevec.complex_product(xs.conj(), ys)
+            squares = [statevec.complex_product(v.conj(), v).real for v in (xs, ys)]
+            bits = np.array([overlap, *squares]).tobytes()
+            scalar = statevec._sums(a, b)  # the pass phase_equal makes
+            assert np.array(scalar).tobytes() == bits
+            assert np.array(statevec.inner(a, b)).tobytes() == overlap.tobytes()
+            assert statevec.norm(a) == math.sqrt(squares[0])
