@@ -6,7 +6,8 @@ else under ``tests``) the check would compare the code with itself.
 
 The same AST walk keeps each input rule in one module: ``statevec`` alone
 defines the index, real-number and tolerance checks and imports ``numbers``.
-It also allows no BLAS-backed call anywhere in the library, and the exports
+It also allows no BLAS-backed call anywhere in the library, nor in the
+functions whose results reach report bytes or decide a verdict, and the exports
 checks keep every ``__all__`` name alive, with each package re-export the very
 object its module defines.
 """
@@ -150,6 +151,60 @@ def test_no_blas_call_in_the_library():
             einsums[path.name] = calls
     assert found == {}
     assert einsums == {"statevec.py": [("complex_product", ["dtype"])]}
+
+
+#: The functions whose results reach report bytes, by module.
+BYTE_PATH = {
+    "cli.py": ("load_config", "_norm", "parse_ket", "_complex_entry",
+               "_input_components", "_family_from_value", "emit_report",
+               "_report_texts", "_layout", "_number", "_family_json", "_listing",
+               "_object"),
+    "protocol.py": ("run_protocol", "_built_transfer", "_branch_table"),
+    "auxprep.py": ("_resource", "conjugate_partner"),
+    "statevec.py": ("complex_product", "_prune", "_ket", "from_array"),
+}
+#: The functions whose results decide a verdict, by module; a method by its
+#: qualified name.
+VERDICT_PATH = {
+    "protocol.py": ("oracle_report", "compare_reports", "_validate_input"),
+    "statevec.py": ("phase_equal", "_sums", "inner", "norm", "_nonzero"),
+    "measurement.py": ("TwoPhotonBasis.__post_init__",),
+}
+
+
+def qualified_functions(tree, prefix=""):
+    """Every function defined at module or class level in ``tree``, by qualified name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[prefix + node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update(qualified_functions(node, f"{prefix}{node.name}."))
+    return found
+
+
+def blas_uses_along(path):
+    """BLAS uses in each function that ``path`` names, after checking it still exists."""
+    found = {}
+    for module, names in path.items():
+        defs = qualified_functions(ast.parse((PACKAGE / module).read_text("utf-8")))
+        assert set(names) <= set(defs), module
+        for name in names:
+            if uses := blas_uses(defs[name]):
+                found[f"{module}:{name}"] = uses
+    return found
+
+
+def test_no_blas_call_reaches_report_bytes():
+    # The library-wide rule above covers these too; this keeps the byte path's
+    # functions named, so a rename that moves the path is seen here.
+    assert blas_uses_along(BYTE_PATH) == {}
+
+
+def test_the_blas_calls_that_bear_on_verdicts_are_these():
+    # None: the oracle's projectors, the Gram check and inner/norm all go
+    # through complex_product, so no verdict moves with the OpenBLAS kernel.
+    assert blas_uses_along(VERDICT_PATH) == {}
 
 
 def test_blas_uses_are_seen():
