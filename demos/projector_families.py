@@ -5,7 +5,7 @@ import numpy as np
 from biphoton import (
     basis_ket,
     family_from_assignment,
-    ket_from_vector,
+    from_array,
     parity_family,
     superpose,
     to_array,
@@ -44,5 +44,5 @@ vec = to_array(state)
 print("even-parity weight:", float(np.vdot(vec, parity.projectors[0] @ vec).real))
 print("odd-parity weight: ", float(np.vdot(vec, parity.projectors[1] @ vec).real))
 
-projected = ket_from_vector((1, 2), parity.projectors[0] @ vec)
+projected = from_array((1, 2), parity.projectors[0] @ vec)
 print("even projection:", dict(projected.items()))

@@ -22,10 +22,7 @@ from biphoton.measurement import (
     ProjectorFamily,
     TwoPhotonBasis,
     family_from_assignment,
-    ket_from_vector,
     parity_family,
-    two_photon_vector,
-    validate_basis,
 )
 from biphoton.protocol import (
     IDEAL_ANALYZER,
@@ -86,7 +83,6 @@ __all__ = [
     "family_from_assignment",
     "from_array",
     "inner",
-    "ket_from_vector",
     "norm",
     "normalize",
     "oracle_report",
@@ -96,8 +92,6 @@ __all__ = [
     "superpose",
     "tensor",
     "to_array",
-    "two_photon_vector",
-    "validate_basis",
     "__version__",
 ]
 

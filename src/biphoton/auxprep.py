@@ -63,7 +63,7 @@ class AuxState:
     j_register: tuple[int, ...]
 
 
-def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> Ket:
+def conjugate_partner(basis: TwoPhotonBasis, i: int) -> Ket:
     """Conjugate partner of basis row ``i`` on the partner photons.
 
     Components are conjugated and moved to the polarization-flipped
@@ -74,7 +74,7 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int, register=PARTNER_PAIR) -> K
     if not 0 <= i < 4:
         raise ValidationError(f"basis row index {i} out of range 0..3")
     partner = basis.states[i, ::-1].conj()  # the flip reverses (HH, HV, VH, VV)
-    return from_array(register, partner)
+    return from_array(PARTNER_PAIR, partner)
 
 
 def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:

@@ -21,26 +21,20 @@ import numpy as np
 
 from biphoton.statevec import (
     DEFAULT_TOL,
-    Ket,
     ValidationError,
     _check_tol,
     _is_real,
     _numbers,
     complex_product,
-    from_array,
-    to_array,
 )
 
 __all__ = [
     "BASIS_LABELS",
     "TwoPhotonBasis",
     "ProjectorFamily",
-    "validate_basis",
     "family_from_assignment",
     "shared_family",
     "parity_family",
-    "two_photon_vector",
-    "ket_from_vector",
 ]
 
 #: Fixed component order of the two-photon space.
@@ -101,11 +95,6 @@ class ProjectorFamily:
 
     def __hash__(self):
         return hash(self._content)
-
-
-def validate_basis(states, tol: float = DEFAULT_TOL) -> TwoPhotonBasis:
-    """The rows as a ``TwoPhotonBasis``, which checks them within ``tol``."""
-    return TwoPhotonBasis(states, tol)
 
 
 def _validate_assignment(table) -> np.ndarray:
@@ -175,12 +164,12 @@ def _table_key(assignment):
 @functools.lru_cache(maxsize=32)
 def _family_by_content(states: bytes, table: tuple, tol: float) -> ProjectorFamily:
     """The family of the 4x4 complex rows held in ``states``, checked at ``tol``."""
-    basis = validate_basis(np.frombuffer(states, dtype=complex).reshape(4, 4), tol)
+    basis = TwoPhotonBasis(np.frombuffer(states, dtype=complex).reshape(4, 4), tol)
     return family_from_assignment(basis, table)
 
 
 def shared_family(states, assignment, tol: float = DEFAULT_TOL) -> ProjectorFamily:
-    """``family_from_assignment(validate_basis(states, tol), assignment)``, built
+    """``family_from_assignment(TwoPhotonBasis(states, tol), assignment)``, built
     once per content: content-equal arguments give the same read-only family.
 
     The key is the rows' bytes (``-0.0`` is not ``0.0``), the table as a tuple
@@ -192,7 +181,7 @@ def shared_family(states, assignment, tol: float = DEFAULT_TOL) -> ProjectorFami
     rows = _numbers(states, "basis entry")
     table = _table_key(assignment)
     if rows.shape != (4, 4) or table is None:
-        return family_from_assignment(validate_basis(rows, tol), assignment)
+        return family_from_assignment(TwoPhotonBasis(rows, tol), assignment)
     return _family_by_content(rows.tobytes(), table, tol)
 
 
@@ -214,23 +203,3 @@ def parity_family() -> ProjectorFamily:
     )
     table = [[1, 0], [1, 0], [0, 1], [0, 1]]
     return family_from_assignment(states, table)
-
-
-def two_photon_vector(state: Ket) -> np.ndarray:
-    """Dense 4-vector of a two-photon ket over (HH, HV, VH, VV)."""
-    if len(state.register) != 2:
-        raise ValidationError(
-            f"expected a two-photon state, register is {state.register}"
-        )
-    return to_array(state)
-
-
-def ket_from_vector(register, vec) -> Ket:
-    """Two-photon ket from a 4-vector over (HH, HV, VH, VV)."""
-    arr = _numbers(vec, "amplitude")
-    if arr.shape != (4,):
-        raise ValidationError(f"expected 4 components, got shape {arr.shape}")
-    reg = tuple(register)
-    if len(reg) != 2:
-        raise ValidationError(f"register must name two photons, got {reg}")
-    return from_array(reg, arr)

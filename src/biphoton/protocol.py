@@ -44,7 +44,7 @@ import numpy as np
 
 from biphoton import auxprep
 from biphoton.auxprep import KEPT_PAIR
-from biphoton.measurement import ProjectorFamily, parity_family, two_photon_vector
+from biphoton.measurement import ProjectorFamily, parity_family
 from biphoton.statevec import (
     DEFAULT_TOL,
     ZERO_PROBABILITY,
@@ -58,6 +58,7 @@ from biphoton.statevec import (
     norm,
     phase_equal,
     superpose,
+    to_array,
 )
 
 __all__ = [
@@ -328,8 +329,15 @@ def _is_parity(family: ProjectorFamily, preset: ProjectorFamily, tol: float) -> 
     )
 
 
-def _validate_input(input_state: Ket, tol: float) -> None:
+def _check_type(value, kind: type, expected: str) -> None:
+    if not isinstance(value, kind):
+        raise ValidationError(f"{expected}, got {value!r}")
+
+
+def _validate_input(input_state: Ket, family: ProjectorFamily, tol: float) -> None:
     _check_tol(tol)
+    _check_type(input_state, Ket, "input_state must be a Ket")
+    _check_type(family, ProjectorFamily, "family must be a ProjectorFamily")
     if input_state.register != INPUT_PAIR:
         raise ValidationError(
             f"input must live on photons {INPUT_PAIR}, got {input_state.register}"
@@ -356,7 +364,9 @@ def run_protocol(
     then splits into one row per outcome-register reading (H before V).
     Probabilities are exhaustive: over any input they sum to one.
     """
-    _validate_input(input_state, tol)
+    _validate_input(input_state, family, tol)
+    expected = "analyzer must be an AnalyzerModel such as LINEAR_ANALYZER"
+    _check_type(analyzer, AnalyzerModel, expected)
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     _, _, j_register, preset = _MODE_TABLE[mode]
@@ -364,8 +374,7 @@ def run_protocol(
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
     t = _built_transfer(preset or family, j_register, auxprep.conjugate_partner)
 
-    beta = two_photon_vector(input_state)
-    residuals = complex_product(t, beta)
+    residuals = complex_product(t, to_array(input_state))
     weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
     rows, accepted, branches, _ = _branch_table(mode, analyzer)
     fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
@@ -422,8 +431,8 @@ def oracle_report(
     Post-measurement states are placed on the kept photon pair so they
     can be compared directly with teleported residuals.
     """
-    _validate_input(input_state, tol)
-    images = complex_product(family.projectors, two_photon_vector(input_state))
+    _validate_input(input_state, family, tol)
+    images = complex_product(family.projectors, to_array(input_state))
     probabilities = (images.real**2 + images.imag**2).sum(axis=1)
     live = probabilities >= ZERO_PROBABILITY
     units = _prune(images / np.sqrt(np.where(live, probabilities, 1.0))[:, None])

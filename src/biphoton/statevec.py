@@ -110,11 +110,6 @@ class Ket:
     register: tuple[int, ...]
     array: np.ndarray
 
-    @property
-    def components(self) -> dict[str, complex]:
-        """The nonzero components as ``{labels: amplitude}``."""
-        return dict(self.items())
-
     def amplitude(self, labels: str) -> complex:
         """Amplitude of one basis component (0 for absent components)."""
         return complex(self.array[_index(labels, len(self.register))])
@@ -277,8 +272,11 @@ def inner(a: Ket, b: Ket) -> complex:
 
 
 def norm(state: Ket) -> float:
-    """Euclidean norm ``sqrt(sum |amplitude|^2)``."""
-    return math.sqrt(_sums(state, state)[1])
+    """Euclidean norm ``sqrt(sum |amplitude|^2)``, summed in index order."""
+    total = 0.0
+    for x in state.array.reshape(-1).tolist():
+        total += x.real * x.real + x.imag * x.imag
+    return math.sqrt(total)
 
 
 def _nonzero(n: float, action: str) -> float:

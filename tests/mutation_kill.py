@@ -40,14 +40,14 @@ PACKAGE = Path("src") / "biphoton"
 #: The functions mutated, by module: the orthonormality, number, tolerance
 #: and index rules, the config reader and the entry reader built on them, the
 #: ket grammar, the check that a parity mode's family lies within ``tol`` of
-#: the parity projectors, the resource and the one compiler of ``T`` from it,
-#: and the verdict.
+#: the parity projectors, the conjugate partner, the resource built from it,
+#: the one compiler of ``T`` from that, and the verdict.
 TARGETS = {
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
     "statevec.py": ("_check_int", "_is_real", "_check_tol"),
     "cli.py": ("_complex_entry", "parse_ket", "read_config", "load_config"),
     "protocol.py": ("_is_parity", "_built_transfer", "compare_reports"),
-    "auxprep.py": ("_resource",),
+    "auxprep.py": ("conjugate_partner", "_resource"),
 }
 MAX_MUTANTS = 150
 BUDGET_S = 15 * 60

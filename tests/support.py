@@ -69,7 +69,7 @@ def dense_state(labels_to_amp, n_photons):
 
 
 def dense_from_ket(ket):
-    return dense_state(dict(ket.components), len(ket.register))
+    return dense_state(dict(ket.items()), len(ket.register))
 
 
 def two_photon_tensor(vec4):

@@ -16,7 +16,6 @@ import biphoton.protocol as protocol
 from biphoton.cli import main
 from biphoton.measurement import (
     family_from_assignment,
-    ket_from_vector,
     parity_family,
 )
 from biphoton.protocol import (
@@ -57,7 +56,7 @@ def random_instance(rng):
     table = random_assignment(rng, int(rng.integers(2, 5)))
     family = family_from_assignment(basis, table)
     beta_vec = random_unit_vector(rng)
-    return family, beta_vec, ket_from_vector((1, 2), beta_vec)
+    return family, beta_vec, from_array((1, 2), beta_vec)
 
 
 def test_criterion_1_general_success_probability_is_one_sixteenth():
@@ -125,7 +124,7 @@ def test_criterion_4_parity5_success_probability_and_pair_weights():
     the four accepted Bell pairs contributing exactly 1/16."""
     rng = np.random.default_rng(44)
     for _ in range(N_INSTANCES):
-        beta = ket_from_vector((1, 2), random_unit_vector(rng))
+        beta = from_array((1, 2), random_unit_vector(rng))
         report = run_protocol(beta, parity_family(), mode="parity5")
         assert report.success_probability == pytest.approx(0.25, abs=TOL)
         per_pair = {}
@@ -170,7 +169,7 @@ def test_criterion_6_parity4_matches_brute_force_contraction_oracle():
     psi_names = ("PsiPlus", "PsiMinus")
     for _ in range(N_INSTANCES):
         beta_vec = random_unit_vector(rng)
-        beta = ket_from_vector((1, 2), beta_vec)
+        beta = from_array((1, 2), beta_vec)
         report = run_protocol(beta, parity_family(), mode="parity4")
 
         total = dense_total(beta_vec, dense_parity_aux4())
@@ -189,7 +188,7 @@ def test_criterion_6_parity4_matches_brute_force_contraction_oracle():
             0.5 * even_weight, abs=TOL
         )
 
-        projected = ket_from_vector(
+        projected = from_array(
             (3, 4), np.array([beta_vec[0], 0, 0, beta_vec[3]])
         )
         for branch in report.branches:
@@ -213,7 +212,7 @@ def test_criterion_7_probability_conservation_everywhere():
         )
     for mode in ("parity5", "parity4"):
         for _ in range(33):
-            beta = ket_from_vector((1, 2), random_unit_vector(rng))
+            beta = from_array((1, 2), random_unit_vector(rng))
             report = run_protocol(beta, parity_family(), mode=mode)
             assert sum(
                 b.probability for b in report.branches
@@ -226,7 +225,7 @@ def test_criterion_8_negative_controls_flip_the_verdict(monkeypatch):
     polarization flip from the partner convention must each make the
     oracle comparison fail on at least one random instance."""
     rng = np.random.default_rng(88)
-    betas = [ket_from_vector((1, 2), random_unit_vector(rng)) for _ in range(20)]
+    betas = [from_array((1, 2), random_unit_vector(rng)) for _ in range(20)]
 
     def parity5_failures():
         count = 0

@@ -22,14 +22,20 @@ from biphoton.cli import (
     parse_ket,
     read_config,
 )
-from biphoton.measurement import parity_family, two_photon_vector
+from biphoton.measurement import parity_family
 from biphoton.protocol import (
     BellOutcome,
     compare_reports,
     oracle_report,
     run_protocol,
 )
-from biphoton.statevec import ZERO_PROBABILITY, ValidationError, basis_ket
+from biphoton.statevec import (
+    ZERO_PROBABILITY,
+    ValidationError,
+    basis_ket,
+    from_array,
+    to_array,
+)
 
 from support import random_unit_vector
 
@@ -711,9 +717,7 @@ def test_emit_report_rejects_unknown_format():
 
 def test_emit_seventeen_digit_floats():
     rng = np.random.default_rng(5)
-    from biphoton.measurement import ket_from_vector
-
-    beta = ket_from_vector((1, 2), random_unit_vector(rng))
+    beta = from_array((1, 2), random_unit_vector(rng))
     report = run_protocol(beta, parity_family(), mode="general")
     doc = json.loads(emit_report(report, "json"))
     # probabilities survive the round trip exactly at 17 significant digits
@@ -787,7 +791,7 @@ def test_verify_normalizes_input_whose_squared_norm_overflows(
     cfg = load_config(base_config(input_state=components))
     unit = np.asarray(components) / 1e308
     np.testing.assert_allclose(
-        two_photon_vector(cfg.input_state), unit / np.linalg.norm(unit), rtol=1e-15
+        to_array(cfg.input_state), unit / np.linalg.norm(unit), rtol=1e-15
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import biphoton.protocol as protocol
 from biphoton.cli import emit_report, main
-from biphoton.measurement import family_from_assignment, ket_from_vector, parity_family
+from biphoton.measurement import family_from_assignment, parity_family
 from biphoton.protocol import (
     IDEAL_ANALYZER,
     LINEAR_ANALYZER,
@@ -19,6 +19,7 @@ from biphoton.protocol import (
     oracle_report,
     run_protocol,
 )
+from biphoton.statevec import from_array
 
 from support import random_assignment, random_orthonormal_basis, random_unit_vector
 
@@ -35,7 +36,7 @@ def reports(seed=0):
                 family = family_from_assignment(
                     random_orthonormal_basis(rng), random_assignment(rng, 3)
                 )
-            beta = ket_from_vector((1, 2), random_unit_vector(rng))
+            beta = from_array((1, 2), random_unit_vector(rng))
             yield run_protocol(beta, family, mode, analyzer)
 
 
@@ -138,7 +139,7 @@ def test_rows_below_zero_probability_carry_no_state(mode, analyzer):
     # The odd weight is 9e-14: in parity5 the odd rows weigh 5.6e-15 and used
     # to hold a 0.075 amplitude, scaled by the probability floor.
     vec = np.array([1, 3e-7, 0, 0]) / np.hypot(1, 3e-7)
-    beta = ket_from_vector((1, 2), vec)
+    beta = from_array((1, 2), vec)
     report = run_protocol(beta, parity_family(), mode, analyzer)
     zero = report.probabilities < ZERO_PROBABILITY
     for k, fix in enumerate(report.corrections):

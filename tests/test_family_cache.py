@@ -16,7 +16,11 @@ import pytest
 import biphoton.measurement as measurement
 import biphoton.protocol as protocol
 from biphoton.cli import emit_report, load_config
-from biphoton.measurement import family_from_assignment, shared_family, validate_basis
+from biphoton.measurement import (
+    TwoPhotonBasis,
+    family_from_assignment,
+    shared_family,
+)
 from biphoton.protocol import run_protocol
 from biphoton.statevec import ValidationError
 
@@ -136,7 +140,7 @@ def test_a_table_that_is_not_rows_of_hashable_entries_goes_uncached(table, messa
 
 def test_an_array_table_builds_uncached():
     family = shared_family(EYE4, np.array(PARITY_TABLE))
-    assert family == family_from_assignment(validate_basis(EYE4), PARITY_TABLE)
+    assert family == family_from_assignment(TwoPhotonBasis(EYE4), PARITY_TABLE)
     assert shared_family(EYE4, np.array(PARITY_TABLE)) is not family
     assert cache_size() == 0
 

@@ -1,9 +1,8 @@
 """Each input rule has one owner, and every public entry point obeys it.
 
 * Orthonormality: ``TwoPhotonBasis`` checks its rows within its ``tol``;
-  ``validate_basis``, ``shared_family``, ``family_from_assignment`` and
-  ``load_config`` all go through it, so they build or refuse the same rows
-  with the same message.
+  ``shared_family``, ``family_from_assignment`` and ``load_config`` all go
+  through it, so they build or refuse the same rows with the same message.
 * Numbers: ``statevec._is_real`` decides what a config entry and a ``tol``
   may be: any ``numbers.Real`` but a bool.  ``statevec._numbers`` decides
   what an amplitude, a basis entry or a coefficient may be: any finite
@@ -21,9 +20,7 @@ from biphoton.cli import load_config
 from biphoton.measurement import (
     TwoPhotonBasis,
     family_from_assignment,
-    ket_from_vector,
     shared_family,
-    validate_basis,
 )
 from biphoton.statevec import (
     DEFAULT_TOL,
@@ -70,7 +67,6 @@ def entry_points(rows, table, tol):
     }
     calls = {
         "TwoPhotonBasis": lambda: TwoPhotonBasis(rows, tol),
-        "validate_basis": lambda: validate_basis(rows, tol),
         "shared_family": lambda: shared_family(rows, table, tol),
         "load_config": lambda: load_config(config),
     }
@@ -132,7 +128,6 @@ def test_a_bad_basis_tol_raises_the_tol_message(tol):
         _check_tol(tol)
     for build in (
         lambda: TwoPhotonBasis(I4, tol),
-        lambda: validate_basis(I4, tol),
         lambda: shared_family(I4, PARITY_TABLE, tol),
     ):
         with pytest.raises(ValidationError) as excinfo:
@@ -187,7 +182,6 @@ def first_row(value):
 #: in its first place, and the name its message gives that place.
 AMPLITUDE_READERS = {
     "from_array": (lambda v: from_array((1, 2), [v, 0, 0, 0]), "amplitude"),
-    "ket_from_vector": (lambda v: ket_from_vector((1, 2), [v, 0, 0, 0]), "amplitude"),
     "TwoPhotonBasis": (  # compared by identity, so by its rows here
         lambda v: TwoPhotonBasis(first_row(v)).states.tolist(), "basis entry"
     ),

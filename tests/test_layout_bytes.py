@@ -6,7 +6,10 @@ nonzero.  The reports below cover every mode with four analyzers (linear,
 ideal, Psi+ only, Psi- only), sparse inputs with exact-zero amplitudes and
 zero-probability branches, and more distinct layouts than the writer keeps
 cached, emitted in an order that revisits a report after another one.  The
-inputs and bases are drawn without BLAS, so the pin holds on any kernel.
+inputs and bases are drawn without BLAS, so the pin holds under every
+OpenBLAS kernel.  It does not hold under every numpy SIMD dispatch:
+``product_basis`` multiplies with ``np.kron``, whose complex multiply fuses
+multiply-adds on AVX-512, so with those features disabled the bases differ.
 Print the current hash with ``PYTHONPATH=src python tests/test_layout_bytes.py``
 and update the pin only when a change to report bytes is intended.
 """
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from biphoton.cli import emit_report
-from biphoton.measurement import family_from_assignment, ket_from_vector, parity_family
+from biphoton.measurement import family_from_assignment, parity_family
 from biphoton.protocol import (
     IDEAL_ANALYZER,
     LINEAR_ANALYZER,
@@ -29,6 +32,7 @@ from biphoton.protocol import (
     BellOutcome,
     run_protocol,
 )
+from biphoton.statevec import from_array
 
 from support import random_assignment
 
@@ -83,7 +87,7 @@ def reports(seed=7):
                     family = family_from_assignment(
                         basis, random_assignment(rng, n_outcomes)
                     )
-                yield run_protocol(ket_from_vector((1, 2), vec), family, mode, analyzer)
+                yield run_protocol(from_array((1, 2), vec), family, mode, analyzer)
 
 
 def layout(report) -> tuple:

@@ -9,14 +9,19 @@ from biphoton.measurement import (
     BASIS_LABELS,
     TwoPhotonBasis,
     family_from_assignment,
-    ket_from_vector,
     parity_family,
     shared_family,
-    two_photon_vector,
-    validate_basis,
 )
-from biphoton.protocol import oracle_report
-from biphoton.statevec import ValidationError, basis_ket, norm, normalize, superpose
+from biphoton.protocol import oracle_report, run_protocol
+from biphoton.statevec import (
+    ValidationError,
+    basis_ket,
+    from_array,
+    norm,
+    normalize,
+    superpose,
+    to_array,
+)
 
 from support import random_orthonormal_basis, random_assignment, random_unit_vector
 
@@ -34,25 +39,25 @@ BELL_BASIS = np.array(
 
 
 def test_validate_basis_accepts_computational_and_bell():
-    assert validate_basis(I4).states.shape == (4, 4)
-    assert validate_basis(BELL_BASIS) is not None
+    assert TwoPhotonBasis(I4).states.shape == (4, 4)
+    assert TwoPhotonBasis(BELL_BASIS) is not None
 
 
 def test_validate_basis_rejects_duplicate_row():
     bad = np.array(I4)
     bad[1] = bad[0]
     with pytest.raises(ValidationError) as err:
-        validate_basis(bad)
+        TwoPhotonBasis(bad)
     assert "orthonormal" in str(err.value)
 
 
 def test_validate_basis_rejects_wrong_shape_and_nonfinite():
     with pytest.raises(ValidationError):
-        validate_basis(np.eye(3))
+        TwoPhotonBasis(np.eye(3))
     bad = np.array(I4)
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError):
-        validate_basis(bad)
+        TwoPhotonBasis(bad)
 
 
 def test_family_from_assignment_pairs_of_computational_rows():
@@ -179,27 +184,31 @@ def test_expectation_checks_the_norm_within_default_tol():
 
 def test_vector_round_trip():
     vec = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
-    ket = ket_from_vector((1, 2), vec)
-    np.testing.assert_allclose(two_photon_vector(ket), vec, atol=1e-15)
+    ket = from_array((1, 2), vec)
+    np.testing.assert_allclose(to_array(ket), vec, atol=1e-15)
     assert ket.amplitude("HV") == 0.5j
     assert list(BASIS_LABELS) == ["HH", "HV", "VH", "VV"]
 
 
 def test_ket_from_vector_rejects_non_finite_components():
     with pytest.raises(ValidationError, match="non-finite"):
-        ket_from_vector((1, 2), [float("nan"), 1, 0, 0])
+        from_array((1, 2), [float("nan"), 1, 0, 0])
 
 
 def test_ket_from_vector_rejects_bad_shapes():
-    with pytest.raises(ValidationError, match="expected 4 components"):
-        ket_from_vector((1, 2), [1, 0, 0])
-    with pytest.raises(ValidationError, match="register must name two photons"):
-        ket_from_vector((1, 2, 3), [1, 0, 0, 0])
+    with pytest.raises(ValidationError, match="3 amplitudes for 2 photons"):
+        from_array((1, 2), [1, 0, 0])
+    with pytest.raises(ValidationError, match="4 amplitudes for 3 photons"):
+        from_array((1, 2, 3), [1, 0, 0, 0])
 
 
 def test_two_photon_vector_rejects_other_registers():
-    with pytest.raises(ValidationError, match="expected a two-photon state"):
-        two_photon_vector(basis_ket((1, 2, 3), "HHH"))
+    # run_protocol and oracle_report read the input's flat vector only after
+    # checking that it lives on the input pair.
+    fam = parity_family()
+    for build in (run_protocol, oracle_report):
+        with pytest.raises(ValidationError, match=r"photons \(1, 2\), got \(1, 2, 3\)"):
+            build(basis_ket((1, 2, 3), "HHH"), fam)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -228,11 +237,11 @@ def test_apply_projector_matches_matrix_oracle(seed):
         random_orthonormal_basis(rng), random_assignment(rng, 3)
     )
     vec = random_unit_vector(rng)
-    ket = normalize(ket_from_vector((1, 2), vec))
+    ket = normalize(from_array((1, 2), vec))
     oracle = oracle_report(ket, fam)  # applies every P_j to the input at once
     for j, (p, state) in enumerate(zip(oracle.probabilities, oracle.states)):
         image = fam.projectors[j] @ vec  # the matrix oracle
-        projected = np.sqrt(p) * two_photon_vector(state)
+        projected = np.sqrt(p) * to_array(state)
         np.testing.assert_allclose(projected, image, atol=1e-10)
         assert p == pytest.approx(np.vdot(image, image).real, abs=1e-10)
     assert sum(oracle.probabilities) == pytest.approx(1.0, abs=1e-10)

@@ -18,9 +18,7 @@ from biphoton.cli import emit_report
 from biphoton.measurement import (
     ProjectorFamily,
     family_from_assignment,
-    ket_from_vector,
     parity_family,
-    two_photon_vector,
 )
 from biphoton.protocol import (
     BELL_ORDER,
@@ -50,6 +48,7 @@ from biphoton.statevec import (
     phase_equal,
     superpose,
     tensor,
+    to_array,
 )
 
 from support import (
@@ -79,7 +78,7 @@ PHI_MINUS = BellOutcome.PHI_MINUS
 
 
 def input_ket(vec4):
-    return ket_from_vector((1, 2), np.asarray(vec4, dtype=complex))
+    return from_array((1, 2), np.asarray(vec4, dtype=complex))
 
 
 def hh_input():
@@ -666,6 +665,43 @@ def test_run_protocol_validation_errors():
         run_protocol(hh_input(), first_photon_family, mode="parity5")
 
 
+@pytest.mark.parametrize(
+    "state", [[1, 0, 0, 0], np.array([1, 0, 0, 0])], ids=["list", "array"]
+)
+def test_an_input_that_is_not_a_ket_is_rejected_by_name(state):
+    for call in (
+        lambda: run_protocol(state, parity_family()),
+        lambda: oracle_report(state, parity_family()),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"input_state must be a Ket, got {state!r}"
+
+
+@pytest.mark.parametrize("family", [None, parity_family().basis], ids=["None", "basis"])
+def test_a_family_that_is_not_a_projector_family_is_rejected_by_name(family):
+    for call in (
+        lambda: run_protocol(hh_input(), family),
+        lambda: oracle_report(hh_input(), family),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"family must be a ProjectorFamily, got {family!r}"
+
+
+@pytest.mark.parametrize(
+    "analyzer",
+    ["linear", None, frozenset(BELL_ORDER)],
+    ids=["name", "None", "outcomes"],
+)
+def test_an_analyzer_that_is_not_an_analyzer_model_is_rejected_by_name(analyzer):
+    with pytest.raises(ValidationError) as excinfo:
+        run_protocol(hh_input(), parity_family(), "general", analyzer)
+    assert str(excinfo.value) == (
+        f"analyzer must be an AnalyzerModel such as LINEAR_ANALYZER, got {analyzer!r}"
+    )
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, "tight", True])
 def test_library_rejects_bad_tol(tol):
     fam = parity_family()
@@ -862,8 +898,8 @@ def test_analyzer_takes_any_iterable_of_outcomes(mode):
 def test_compare_reports_flags_a_misnormalized_resource(monkeypatch):
     healthy = auxprep.conjugate_partner
 
-    def scaled(basis, i, register=auxprep.PARTNER_PAIR):
-        return superpose([(1.01, healthy(basis, i, register))])
+    def scaled(basis, i):
+        return superpose([(1.01, healthy(basis, i))])
 
     monkeypatch.setattr(auxprep, "conjugate_partner", scaled)
     rng = np.random.default_rng(1400)
@@ -1142,7 +1178,7 @@ def test_oracle_matches_projecting_one_outcome_at_a_time():
         oracle = oracle_report(beta, fam)
         assert len(oracle.probabilities) == len(oracle.states) == fam.n_outcomes
         for j, (p, state) in enumerate(zip(oracle.probabilities, oracle.states)):
-            image = fam.projectors[j] @ two_photon_vector(beta)
+            image = fam.projectors[j] @ to_array(beta)
             assert isinstance(p, float)
             assert p == pytest.approx(np.vdot(image, image).real, abs=1e-15)
             if p < ZERO_PROBABILITY:
@@ -1150,7 +1186,7 @@ def test_oracle_matches_projecting_one_outcome_at_a_time():
                 continue
             assert state.register == (3, 4) and not state.array.flags.writeable
             assert norm(state) == pytest.approx(1.0, abs=1e-15)
-            target = ket_from_vector((3, 4), image)
+            target = from_array((3, 4), image)
             assert phase_equal(state, normalize(target), tol=1e-15)
 
 
@@ -1258,7 +1294,7 @@ def test_compare_reports_walk_agrees_under_the_negative_controls(monkeypatch):
                 assert texts > 0, name
 
     def conjugate_only(basis, i, register=auxprep.PARTNER_PAIR):
-        return ket_from_vector(register, basis.states[i].conj())
+        return from_array(register, basis.states[i].conj())
 
     with monkeypatch.context() as patch:
         patch.setattr(auxprep, "conjugate_partner", conjugate_only)

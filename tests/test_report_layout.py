@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from biphoton import cli
 from biphoton.cli import emit_report, load_config, main
-from biphoton.measurement import family_from_assignment, ket_from_vector, parity_family
+from biphoton.measurement import family_from_assignment, parity_family
 from biphoton.protocol import IDEAL_ANALYZER, LINEAR_ANALYZER, run_protocol
+from biphoton.statevec import from_array
 
 import support
 from support import random_assignment, random_orthonormal_basis, random_unit_vector
@@ -73,7 +74,7 @@ def test_random_reports_follow_the_reference_layout(
         family = parity_family()
     # A basis state as input leaves exact zeros and zero-probability rows.
     vec = np.eye(4)[rng.integers(4)] if sparse else random_unit_vector(rng)
-    report = run_protocol(ket_from_vector((1, 2), vec), family, mode, analyzer)
+    report = run_protocol(from_array((1, 2), vec), family, mode, analyzer)
     assert_reference_layout(report)
 
 

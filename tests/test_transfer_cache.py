@@ -14,14 +14,14 @@ import pytest
 import biphoton.auxprep as auxprep
 import biphoton.protocol as protocol
 from biphoton.cli import emit_report, load_config
-from biphoton.measurement import family_from_assignment, ket_from_vector, parity_family
+from biphoton.measurement import family_from_assignment, parity_family
 from biphoton.protocol import (
     BellOutcome,
     compare_reports,
     oracle_report,
     run_protocol,
 )
-from biphoton.statevec import superpose
+from biphoton.statevec import from_array, superpose
 
 from support import random_assignment, random_orthonormal_basis, random_unit_vector
 
@@ -55,7 +55,7 @@ def test_the_cache_holds_the_documented_32_tensors():
 
 def betas(seed, count=20):
     rng = np.random.default_rng(seed)
-    return [ket_from_vector((1, 2), random_unit_vector(rng)) for _ in range(count)]
+    return [from_array((1, 2), random_unit_vector(rng)) for _ in range(count)]
 
 
 def general_failures(inputs):
@@ -75,7 +75,7 @@ def report_bytes(inputs, family, mode="general"):
 
 def conjugate_only(basis, i, register=auxprep.PARTNER_PAIR):
     """A partner without the polarization flip."""
-    return ket_from_vector(register, basis.states[i].conj())
+    return from_array(register, basis.states[i].conj())
 
 
 def test_a_partner_patch_misses_a_warm_cache(monkeypatch):
@@ -202,7 +202,7 @@ def test_cached_tensors_are_read_only_and_equal_a_fresh_build():
 
 def test_the_cache_holds_no_more_than_its_bound():
     rng = np.random.default_rng(2000)
-    beta = ket_from_vector((1, 2), random_unit_vector(rng))
+    beta = from_array((1, 2), random_unit_vector(rng))
     for _ in range(200):
         n_outcomes = int(rng.integers(1, 5))
         family = family_from_assignment(
@@ -255,8 +255,8 @@ def verify_all_modes(inputs):
 def test_a_partner_patch_reaches_every_mode(monkeypatch):
     healthy = auxprep.conjugate_partner
 
-    def scaled(basis, i, register=auxprep.PARTNER_PAIR):
-        return superpose([(1.01, healthy(basis, i, register))])
+    def scaled(basis, i):
+        return superpose([(1.01, healthy(basis, i))])
 
     inputs = betas(92, count=5)
     assert verify_all_modes(inputs) == dict.fromkeys(protocol.MODES, True)
