@@ -18,7 +18,7 @@ family = parity_family()
 # measured in H/V, and three of the four accepted Bell pairs need local
 # phase flips before the residual matches the reference branch.
 report = run_protocol(beta, family, mode="parity5")
-print(f"mode={report.mode}  analyzer={report.analyzer}")
+print(f"mode={report.mode}  analyzer={report.analyzer.name}")
 print("success probability :", report.success_probability)
 print("P(j|success)        :", report.conditional_j)
 print("inconclusive weight :", report.inconclusive_probability)

@@ -74,11 +74,14 @@ def conjugate_partner(basis: TwoPhotonBasis, i: int) -> Ket:
     if not 0 <= i < 4:
         raise ValidationError(f"basis row index {i} out of range 0..3")
     partner = basis.states[i, ::-1].conj()  # the flip reverses (HH, HV, VH, VV)
+    if isinstance(basis, TwoPhotonBasis):  # rows checked when the basis was built
+        return _ket(PARTNER_PAIR, partner)
     return from_array(PARTNER_PAIR, partner)
 
 
-def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
-    """The module docstring's resource of ``family`` on ``j_register``."""
+def _resource_amplitudes(family: ProjectorFamily, j_register: tuple) -> np.ndarray:
+    """The module docstring's resource of ``family`` on ``j_register``: read-only
+    and pruned, shape (4, 4, R) for kept pair, partner pair and reading."""
     # Row i adds |a^i>_34 |a^i~>_56 |j_i> if j_i < R: its partner in column j_i.
     outcomes = family.assignment.argmax(axis=1)
     rows = np.flatnonzero(outcomes < 2 ** len(j_register))
@@ -87,11 +90,15 @@ def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
     columns[rows, :, outcomes[rows]] = [
         conjugate_partner(family.basis, i).array.reshape(4) for i in rows
     ]
-    amplitudes = len(rows) ** -0.5 * complex_product(
+    return _prune(len(rows) ** -0.5 * complex_product(
         kept.T[:, None, None, :], columns.transpose(1, 2, 0)
-    )
-    ket = _ket(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes)
-    return AuxState(ket, j_register)
+    ))
+
+
+def _resource(family: ProjectorFamily, j_register: tuple[int, ...]) -> AuxState:
+    """The same resource as an ``AuxState``, for the public builders."""
+    amplitudes = _resource_amplitudes(family, j_register)
+    return AuxState(_ket(KEPT_PAIR + PARTNER_PAIR + j_register, amplitudes), j_register)
 
 
 def build_general_aux(family: ProjectorFamily) -> AuxState:

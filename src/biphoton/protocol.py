@@ -52,11 +52,11 @@ from biphoton.statevec import (
     ValidationError,
     _check_tol,
     _labels,
+    _phase_match,
     _prune,
     basis_ket,
     complex_product,
     norm,
-    phase_equal,
     superpose,
     to_array,
 )
@@ -186,18 +186,19 @@ def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.n
     ``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized kept-pair
     residual of Bell outcomes ``b15`` on (1, 5), ``b26`` on (2, 6) (BELL_ORDER
     indices) and reading ``r``; read-only, shape (4, 4, R, 4, 4).  ``partner``,
-    the rule that ``auxprep._resource`` finds in place, is only part of the key."""
-    resource = auxprep._resource(family, j_register).ket.array.reshape(4, 4, -1)
-    # (kept, partners, r); each bra row has one nonzero entry: one rounded product.
+    the rule ``auxprep`` looks up at call time, is only part of the key."""
+    resource = auxprep._resource_amplitudes(family, j_register)  # (kept, partners, r)
+    # Each bra row has one nonzero entry: one rounded product.
     columns = resource.transpose(2, 0, 1).reshape(-1, 4)  # (r, kept) by partners
     t = complex_product(_BELL_PAIR_BRAS[:, None], columns)
     t.flags.writeable = False  # and so every view of it
-    return np.moveaxis(t.reshape(4, 4, 4, -1, 4), 0, -1)  # the input axis last
+    return t.reshape(4, 4, 4, -1, 4).transpose(1, 2, 3, 4, 0)  # the input axis last
 
 
 #: Z = diag(1, -1), so a (photon, "Z") correction is a +-1 mask on that
 #: photon's axis of the kept pair (3, 4).
 _SIGN_MASKS = {(3, "Z"): np.array([[1.0], [-1.0]]), (4, "Z"): np.array([[1.0, -1.0]])}
+_FIRST = np.arange(4) == 0  # the reading that holds an unaccepted pair's total
 
 #: Local corrections mapping each accepted Bell pair onto the
 #: (PsiPlus, PsiPlus) reference channel.  Keys are (outcome on photons
@@ -370,12 +371,13 @@ def run_protocol(
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}, expected one of {MODES}")
     _, _, j_register, preset = _MODE_TABLE[mode]
-    if preset is not None and not _is_parity(family, preset, tol):
+    if not (preset is None or family is preset or _is_parity(family, preset, tol)):
         raise ValidationError(f"mode {mode!r} requires the parity projector family")
     t = _built_transfer(preset or family, j_register, auxprep.conjugate_partner)
 
-    residuals = complex_product(t, to_array(input_state))
-    weights = (residuals.real**2 + residuals.imag**2).sum(axis=-1).reshape(16, -1)
+    # (16, R, 4): pair, reading, kept pair; each weight sums |r|**2 in index order.
+    residuals = complex_product(t, to_array(input_state)).reshape(16, -1, 4)
+    weights = complex_product(residuals, residuals.conj()).real
     rows, accepted, branches, _ = _branch_table(mode, analyzer)
     fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
     for k in rows:  # CORRECTIONS is read on every call
@@ -386,12 +388,11 @@ def run_protocol(
     # pair is one joint state over kept and register photons, scaled by its total.
     totals = weights.sum(axis=1, keepdims=True)
     # A row below ZERO_PROBABILITY carries no state, so its residual is zero.
-    branch_weights = np.where(accepted, weights, totals)[..., None, None]
+    branch_weights = np.where(accepted, weights, totals)[..., None]
     live = branch_weights >= ZERO_PROBABILITY
     scale = np.sqrt(np.where(live, branch_weights, 1.0))
-    units = np.where(live, residuals.reshape(16, -1, 2, 2) * signs / scale, 0)
-    first = np.arange(weights.shape[1]) == 0  # where an unaccepted pair's total goes
-    probabilities = np.where(accepted, weights, totals * first)
+    units = np.where(live, residuals * signs.reshape(16, 1, 4) / scale, 0)
+    probabilities = np.where(accepted, weights, totals * _FIRST[: weights.shape[1]])
     probabilities.flags.writeable = False
 
     # Totals add every row in branch order, readings j >= J (weight 0) included.
@@ -416,7 +417,7 @@ def run_protocol(
         j_register=j_register,
         corrections=tuple(fixes),
         probabilities=probabilities,
-        residuals=_prune(units),
+        residuals=_prune(units).reshape(16, -1, 2, 2),
         success_probability=success_probability,
         conditional_j=tuple(conditional),
         inconclusive_probability=inconclusive_probability,
@@ -433,7 +434,7 @@ def oracle_report(
     """
     _validate_input(input_state, family, tol)
     images = complex_product(family.projectors, to_array(input_state))
-    probabilities = (images.real**2 + images.imag**2).sum(axis=1)
+    probabilities = complex_product(images, images.conj()).real
     live = probabilities >= ZERO_PROBABILITY
     units = _prune(images / np.sqrt(np.where(live, probabilities, 1.0))[:, None])
     states = [
@@ -478,16 +479,17 @@ def compare_reports(
     total = functools.reduce(operator.add, itertools.chain(*probabilities))
     if abs(total - 1.0) > tol:
         mismatches.append(f"probabilities sum to {total:.12g}, not 1")
+    states = [None if s is None else s.array.ravel().tolist() for s in oracle.states]
     for index, k, j in cells:  # only accepted rows hold successes
         if probabilities[k][j] < ZERO_PROBABILITY:
             continue
-        target = oracle.states[j] if j < len(oracle.states) else None
+        target = states[j] if j < len(states) else None
         if target is None:
             mismatches.append(
                 f"branch {index} succeeds with outcome {j}, "
                 "which the oracle rules out"
             )
-        elif not phase_equal(Ket(KEPT_PAIR, report.residuals[k, j]), target, tol=tol):
+        elif not _phase_match(report.residuals[k, j].ravel().tolist(), target, tol):
             b15, b26 = _PAIRS[k]
             mismatches.append(
                 f"branch {index} ({b15.value}, {b26.value}"

@@ -20,8 +20,8 @@ Numeric policy, followed by every module:
 * agreement: no component differs by more than the caller's ``tol`` (a real
   number by ``_is_real``, in (0, 1) by ``_check_tol``), else ``DEFAULT_TOL``;
 * rounding: every sum of complex products follows ``complex_product``'s rule
-  (``_sums`` too): each real product rounded once, terms added in index order,
-  no BLAS, so no bit depends on layout, batch shape or kernel;
+  (``_flat_sums`` too): each real product rounded once, terms added in index
+  order, no BLAS, so no bit depends on layout, batch shape or kernel;
 * entry: ``_numbers`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
@@ -253,17 +253,33 @@ def tensor(a: Ket, b: Ket) -> Ket:
     return _ket(a.register + b.register, product)
 
 
-def _sums(a: Ket, b: Ket) -> tuple[complex, float, float]:
-    """``<a|b>``, ``<a|a>`` and ``<b|b>`` in one pass, by ``complex_product``'s rule."""
+def _lists(a: Ket, b: Ket) -> tuple[list, list]:
+    """The flat amplitudes of two states on one register, as lists."""
     if a.register != b.register:
         raise ValidationError(f"register mismatch: {a.register} != {b.register}")
-    re = im = aa = bb = 0.0
-    for x, y in zip(a.array.reshape(-1).tolist(), b.array.reshape(-1).tolist()):
-        re += x.real * y.real + x.imag * y.imag
-        im += x.real * y.imag - x.imag * y.real
+    return a.array.reshape(-1).tolist(), b.array.reshape(-1).tolist()
+
+
+def _flat_sums(xs: list, ys: list) -> tuple[complex, float, float]:
+    """``<x|y>``, ``<x|x>`` and ``<y|y>`` in one pass, by ``complex_product``'s rule."""
+    overlap, aa, bb = 0j, 0.0, 0.0
+    for x, y in zip(xs, ys):
+        overlap += x.conjugate() * y  # xr*yr + xi*yi and xr*yi - xi*yr, exactly
         aa += x.real * x.real + x.imag * x.imag
         bb += y.real * y.real + y.imag * y.imag
-    return complex(re, im), aa, bb
+    return overlap, aa, bb
+
+
+def _sums(a: Ket, b: Ket) -> tuple[complex, float, float]:
+    """``_flat_sums`` of two states on one register."""
+    return _flat_sums(*_lists(a, b))
+
+
+def _scaled(values: list) -> list:
+    """``values`` scaled down by the power of two that brings their largest part
+    below 1; never up, so a degenerate state stays degenerate."""
+    top = max(max(abs(x.real), abs(x.imag)) for x in values)
+    return [x * math.ldexp(1.0, -max(0, math.frexp(top)[1])) for x in values]
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -273,9 +289,12 @@ def inner(a: Ket, b: Ket) -> complex:
 
 def norm(state: Ket) -> float:
     """Euclidean norm ``sqrt(sum |amplitude|^2)``, summed in index order."""
+    values = state.array.reshape(-1).tolist()
     total = 0.0
-    for x in state.array.reshape(-1).tolist():
+    for x in values:
         total += x.real * x.real + x.imag * x.imag
+    if total == math.inf:  # only then: math.hypot scales by a power of two first
+        return math.hypot(*[part for x in values for part in (x.real, x.imag)])
     return math.sqrt(total)
 
 
@@ -291,20 +310,27 @@ def normalize(state: Ket) -> Ket:
     return _ket(state.register, state.array / _nonzero(norm(state), "normalize"))
 
 
+def _phase_match(xs: list, ys: list, tol: float) -> bool:
+    """``phase_equal``'s rule on the flat amplitude lists of two states."""
+    overlap, aa, bb = _flat_sums(xs, ys)
+    if math.inf in (aa, bb):  # only then, so no other input moves a bit
+        xs, ys = _scaled(xs), _scaled(ys)
+        overlap, aa, bb = _flat_sums(xs, ys)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    rotation = phase / _nonzero(math.sqrt(aa), "compare")
+    scale = _nonzero(math.sqrt(bb), "compare")
+    return all(abs(x * rotation - y / scale) <= tol for x, y in zip(xs, ys))
+
+
 def phase_equal(a: Ket, b: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True when ``a`` and ``b`` agree up to a global phase.
 
     Both states are scaled to unit norm and ``a`` is rotated onto ``b``'s
     phase through their overlap; every component must then agree within
     ``tol``.  Degenerate (near-zero) inputs raise rather than compare
-    equal.  The overlap and both norms come from one pass (``_sums``).
+    equal.  The overlap and both norms come from one pass (``_flat_sums``).
     """
-    overlap, aa, bb = _sums(a, b)
-    phase = overlap / abs(overlap) if overlap else 1.0
-    rotation = phase / _nonzero(math.sqrt(aa), "compare")
-    scale = _nonzero(math.sqrt(bb), "compare")
-    pairs = zip(a.array.reshape(-1).tolist(), b.array.reshape(-1).tolist())
-    return all(abs(x * rotation - y / scale) <= tol for x, y in pairs)
+    return _phase_match(*_lists(a, b), tol)
 
 
 def to_array(state: Ket) -> np.ndarray:

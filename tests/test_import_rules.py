@@ -160,14 +160,15 @@ BYTE_PATH = {
                "_report_texts", "_layout", "_number", "_family_json", "_listing",
                "_object"),
     "protocol.py": ("run_protocol", "_built_transfer", "_branch_table"),
-    "auxprep.py": ("_resource", "conjugate_partner"),
+    "auxprep.py": ("_resource", "_resource_amplitudes", "conjugate_partner"),
     "statevec.py": ("complex_product", "_prune", "_ket", "from_array"),
 }
 #: The functions whose results decide a verdict, by module; a method by its
 #: qualified name.
 VERDICT_PATH = {
     "protocol.py": ("oracle_report", "compare_reports", "_validate_input"),
-    "statevec.py": ("phase_equal", "_sums", "inner", "norm", "_nonzero"),
+    "statevec.py": ("phase_equal", "_sums", "inner", "norm", "_nonzero",
+                    "_phase_match", "_flat_sums", "_lists", "_scaled"),
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
 }
 

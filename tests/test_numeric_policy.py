@@ -127,6 +127,22 @@ def test_protocol_totals_add_left_to_right():
     assert calls == []
 
 
+def test_a_branch_weight_is_one_product_with_the_conjugate():
+    """``run_protocol`` and ``oracle_report`` weigh each residual as
+    ``complex_product(r, r.conj()).real``; that must be the plain sum of
+    squares, ``(r.real**2 + r.imag**2).sum(-1)``, bit for bit, at every
+    magnitude whose square is a normal float, mixed within one residual too."""
+    rng = np.random.default_rng(2802)
+    for exponent in range(-150, 151, 10):
+        shape = (16, 4, 4)
+        parts = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mixed = parts * 10.0 ** rng.uniform(-150, 150, shape)
+        for r in (parts * 10.0**exponent, mixed):
+            got = statevec.complex_product(r, r.conj())
+            assert got.real.tobytes() == (r.real**2 + r.imag**2).sum(-1).tobytes()
+            assert not got.imag.any()
+
+
 def test_each_bell_pair_bra_row_has_one_real_entry():
     """``_built_transfer`` applies ``_BELL_PAIR_BRAS`` to the resource through
     ``complex_product``.  With exactly one nonzero entry per row, real and the

@@ -235,6 +235,68 @@ def test_phase_equal_works_on_the_arrays(monkeypatch):
         phase_equal(zero, b)
 
 
+#: A finite state whose squared amplitudes overflow a float.
+HUGE = [1e200, 1e200, 0, 0]
+
+
+def test_the_norm_of_a_huge_finite_state_is_finite():
+    assert norm(from_array((1, 2), HUGE)) == pytest.approx(SQRT2 * 1e200, rel=1e-15)
+    assert norm(from_array((1, 2), [1e300, 0, 1e300j, -1e300])) == pytest.approx(
+        math.sqrt(3) * 1e300, rel=1e-15
+    )
+
+
+def test_a_huge_finite_state_normalizes_to_a_unit_state():
+    unit = normalize(from_array((1, 2), HUGE))
+    assert unit.array.reshape(-1).tolist() == pytest.approx([1 / SQRT2] * 2 + [0] * 2)
+    assert norm(unit) == pytest.approx(1.0)
+
+
+def test_a_huge_finite_state_is_phase_equal_to_itself_and_its_rescalings():
+    a = from_array((1, 2), HUGE)
+    assert phase_equal(a, a)
+    assert phase_equal(a, from_array((1, 2), [-1j, -1j, 0, 0]))
+    assert phase_equal(from_array((1, 2), [0.5, 0.5, 0, 0]), a)
+    assert not phase_equal(a, from_array((1, 2), [1e200, -1e200, 0, 0]))
+    # Only the huge state is scaled: a degenerate one still raises.
+    tiny = Ket((1, 2), np.array([[1e-13, 0], [0, 0]], dtype=complex))
+    with pytest.raises(DegenerateStateError):
+        phase_equal(a, tiny)
+
+
+def test_the_cell_check_decides_as_phase_equal():
+    """``compare_reports`` checks each success cell with ``_phase_match`` on
+    flat lists; it must decide as ``phase_equal`` on the same states."""
+    rng = np.random.default_rng(2801)
+    t = 2.0**-30  # 1 + t*t rounds to 1, so both norms are exactly 1
+    cases = [  # (x, y, tol, decision) with a known decision, then random ones
+        ([1, 0, 0, 0], [0, 1, 0, 0], 1e-10, False),  # an overlap of exactly 0
+        ([0.5] * 4, [-0.5j, 0.5j, -0.5j, 0.5j], 0.75, True),  # 0 too: phase 1
+        ([0.6, 0.8j, 0, 0], [-0.6, -0.8j, 0, 0], 1e-10, True),  # a phase of pi
+        ([1, 0, 0, 0], [1, 0, 0, t], t, True),  # a component exactly tol away
+        ([1, 0, 0, 0], [1, 0, 0, t], float(np.nextafter(t, 0)), False),
+    ]
+    for _ in range(200):
+        x = rng.normal(size=4) + 1j * rng.normal(size=4)
+        noise = rng.normal(size=4) + 1j * rng.normal(size=4)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        y = phase * x + 10.0 ** rng.uniform(-13, -7) * noise
+        cases.append((x, y, 10.0 ** rng.uniform(-12, -6), None))
+    decisions = set()
+    for x, y, tol, want in cases:
+        a, b = from_array((3, 4), x), from_array((3, 4), y)
+        got = statevec._phase_match(to_array(a).tolist(), to_array(b).tolist(), tol)
+        assert got == phase_equal(a, b, tol=tol)
+        assert want is None or got is want
+        decisions.add(got)
+    assert decisions == {True, False}
+    zero = [0j] * 4
+    with pytest.raises(DegenerateStateError):
+        statevec._phase_match(zero, [1, 0, 0, 0], 1e-10)
+    with pytest.raises(DegenerateStateError):
+        statevec._phase_match([1, 0, 0, 0], zero, 1e-10)
+
+
 def test_degenerate_states_follow_the_amplitude_zero_rule():
     # norm**2 at PRUNE_THRESHOLD is still a state; the zero state is not
     tiny = superpose([(1e-12, basis_ket((1,), "H"))])
