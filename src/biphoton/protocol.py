@@ -34,6 +34,7 @@ caches each (mode, analyzer)'s positions; ``CORRECTIONS`` is read every call.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import itertools
@@ -188,11 +189,12 @@ def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.n
     indices) and reading ``r``; read-only, shape (4, 4, R, 4, 4).  ``partner``,
     the rule ``auxprep`` looks up at call time, is only part of the key."""
     resource = auxprep._resource_amplitudes(family, j_register)  # (kept, partners, r)
+    r = resource.shape[2]
     # Each bra row has one nonzero entry: one rounded product.
-    columns = resource.transpose(2, 0, 1).reshape(-1, 4)  # (r, kept) by partners
+    columns = resource.transpose(2, 0, 1).reshape(r * 4, 4)  # (r, kept) by partners
     t = complex_product(_BELL_PAIR_BRAS[:, None], columns)
     t.flags.writeable = False  # and so every view of it
-    return t.reshape(4, 4, 4, -1, 4).transpose(1, 2, 3, 4, 0)  # the input axis last
+    return t.reshape(4, 4, 4, r, 4).transpose(1, 2, 3, 4, 0)  # the input axis last
 
 
 #: Z = diag(1, -1), so a (photon, "Z") correction is a +-1 mask on that
@@ -344,7 +346,9 @@ def _validate_input(input_state: Ket, family: ProjectorFamily, tol: float) -> No
             f"input must live on photons {INPUT_PAIR}, got {input_state.register}"
         )
     n = norm(input_state)
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:  # true of every state with a non-finite amplitude
+        if not all(map(cmath.isfinite, to_array(input_state).tolist())):
+            raise ValidationError("input state has non-finite amplitudes")
         raise ValidationError(
             f"input state must be normalized (norm deviates by {abs(n - 1.0):.3g})"
         )
@@ -390,8 +394,8 @@ def run_protocol(
     # A row below ZERO_PROBABILITY carries no state, so its residual is zero.
     branch_weights = np.where(accepted, weights, totals)[..., None]
     live = branch_weights >= ZERO_PROBABILITY
-    scale = np.sqrt(np.where(live, branch_weights, 1.0))
-    units = np.where(live, residuals * signs.reshape(16, 1, 4) / scale, 0)
+    signed, scale = residuals * signs.reshape(16, 1, 4), np.sqrt(branch_weights)
+    units = np.divide(signed, scale, out=np.zeros_like(signed), where=live)
     probabilities = np.where(accepted, weights, totals * _FIRST[: weights.shape[1]])
     probabilities.flags.writeable = False
 
@@ -453,32 +457,32 @@ def compare_reports(
     shows: the run must succeed with ``w * len(accepted) * sum(p_j)``, with the
     ``p_j`` renormalized (if both successes reach ``ZERO_PROBABILITY``), and
     each success residual must match the oracle's state up to global phase.
-    The branch probabilities must sum to one.
+    The branches must sum to one, and the pairs not accepted to the inconclusive total.
     """
     _check_tol(tol)
-    mismatches = []
     shown = oracle.probabilities[: report.probabilities.shape[1]]
     shown_total = functools.reduce(operator.add, shown)
-    weight = _MODE_TABLE[report.mode][1]
-    rows, _, _, cells = _branch_table(report.mode, report.analyzer)
+    rows, _, branches, cells = _branch_table(report.mode, report.analyzer)
+    # (reported, expected, mismatch text, outcome) of each printed total, in order.
     got = report.success_probability
-    want = weight * len(rows) * shown_total
-    if abs(got - want) > tol:
-        mismatches.append(f"success probability {got:.12g} vs oracle {want:.12g}")
+    want = _MODE_TABLE[report.mode][1] * len(rows) * shown_total  # w * len(accepted)
+    totals = [(got, want, "success probability {:.12g} vs oracle {:.12g}", None)]
     if min(got, want) >= ZERO_PROBABILITY:
         wanted = [p / shown_total for p in shown] + [0.0] * len(report.conditional_j)
-        for j, (got, want) in enumerate(zip(report.conditional_j, wanted)):
-            if abs(got - want) > tol:
-                mismatches.append(
-                    f"conditional probability of outcome {j}: "
-                    f"report {got:.12g} vs oracle {want:.12g}"
-                )
-
+        totals += [(got, want, "conditional probability of outcome {2}: "
+                    "report {0:.12g} vs oracle {1:.12g}", j)
+                   for j, (got, want) in enumerate(zip(report.conditional_j, wanted))]
     probabilities = report.probabilities.tolist()
     # Every branch in report order: the zeros beside a pair's total add nothing.
     total = functools.reduce(operator.add, itertools.chain(*probabilities))
-    if abs(total - 1.0) > tol:
-        mismatches.append(f"probabilities sum to {total:.12g}, not 1")
+    inconclusive = [probabilities[k][0] for k, j in branches if j is None]
+    totals += [
+        (total, 1.0, "probabilities sum to {:.12g}, not 1", None),
+        (report.inconclusive_probability, functools.reduce(operator.add, inconclusive),
+         "inconclusive probability {:.12g} vs branches {:.12g}", None),
+    ]
+    mismatches = [text.format(got, want, j) for got, want, text, j in totals
+                  if not abs(got - want) <= tol]  # so NaN never agrees
     states = [None if s is None else s.array.ravel().tolist() for s in oracle.states]
     for index, k, j in cells:  # only accepted rows hold successes
         if probabilities[k][j] < ZERO_PROBABILITY:

@@ -17,8 +17,8 @@ Numeric policy, followed by every module:
 * probability zero: an outcome below ``ZERO_PROBABILITY`` carries no state
   (branch residual, oracle state, conditional distribution), and a config
   input with ``norm**2`` below it is rejected; totals still add it;
-* agreement: no component differs by more than the caller's ``tol`` (a real
-  number by ``_is_real``, in (0, 1) by ``_check_tol``), else ``DEFAULT_TOL``;
+* agreement: ``abs(got - want) <= tol``, so NaN never agrees, for the caller's
+  ``tol`` (a real by ``_is_real``, in (0, 1) by ``_check_tol``) or ``DEFAULT_TOL``;
 * rounding: every sum of complex products follows ``complex_product``'s rule
   (``_flat_sums`` too): each real product rounded once, terms added in index
   order, no BLAS, so no bit depends on layout, batch shape or kernel;
@@ -230,7 +230,8 @@ def superpose(terms: Iterable[tuple[complex, Ket]]) -> Ket:
             raise ValidationError(
                 f"register mismatch in superpose: {ket.register} != {register}"
             )
-    return _ket(register, sum(c * ket.array for c, (_, ket) in zip(coeffs, terms)))
+    stacked = np.stack([ket.array for _, ket in terms], -1)
+    return _ket(register, complex_product(stacked, coeffs))
 
 
 def complex_product(x, y) -> np.ndarray:
@@ -270,11 +271,6 @@ def _flat_sums(xs: list, ys: list) -> tuple[complex, float, float]:
     return overlap, aa, bb
 
 
-def _sums(a: Ket, b: Ket) -> tuple[complex, float, float]:
-    """``_flat_sums`` of two states on one register."""
-    return _flat_sums(*_lists(a, b))
-
-
 def _scaled(values: list) -> list:
     """``values`` scaled down by the power of two that brings their largest part
     below 1; never up, so a degenerate state stays degenerate."""
@@ -284,7 +280,7 @@ def _scaled(values: list) -> list:
 
 def inner(a: Ket, b: Ket) -> complex:
     """Inner product ``<a|b>`` of two states on the same register."""
-    return _sums(a, b)[0]
+    return _flat_sums(*_lists(a, b))[0]
 
 
 def norm(state: Ket) -> float:

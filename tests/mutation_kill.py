@@ -55,13 +55,7 @@ BUDGET_S = 15 * 60
 
 #: Surviving mutants that cannot change behaviour, by the id ``mutants``
 #: gives them, each with the reason it is equivalent.
-ALLOWED = {
-    f"protocol.py:_built_transfer: constant `1` -> `10` (#{k})": (
-        "the 1 of a -1 reshape size: numpy reads any negative size as the "
-        "one inferred dimension, so -10 gives the shape -1 gives"
-    )
-    for k in (2, 3)
-}
+ALLOWED = {}
 
 PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--continue-on-collection-errors"]

@@ -167,7 +167,7 @@ BYTE_PATH = {
 #: qualified name.
 VERDICT_PATH = {
     "protocol.py": ("oracle_report", "compare_reports", "_validate_input"),
-    "statevec.py": ("phase_equal", "_sums", "inner", "norm", "_nonzero",
+    "statevec.py": ("phase_equal", "inner", "norm", "_nonzero",
                     "_phase_match", "_flat_sums", "_lists", "_scaled"),
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
 }

@@ -221,7 +221,28 @@ def test_inner_norm_and_phase_equal_round_as_complex_product():
             overlap = statevec.complex_product(xs.conj(), ys)
             squares = [statevec.complex_product(v.conj(), v).real for v in (xs, ys)]
             bits = np.array([overlap, *squares]).tobytes()
-            scalar = statevec._sums(a, b)  # the pass phase_equal makes
+            # the pass phase_equal makes
+            scalar = statevec._flat_sums(*statevec._lists(a, b))
             assert np.array(scalar).tobytes() == bits
             assert np.array(statevec.inner(a, b)).tobytes() == overlap.tobytes()
             assert statevec.norm(a) == math.sqrt(squares[0])
+
+
+def test_superpose_is_python_complex_arithmetic_bit_for_bit():
+    # Each term c * a as Python rounds it, added to 0j in term order.
+    rng = np.random.default_rng(2902)
+    for n, count in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 5)):
+        for _ in range(40):
+            register = tuple(range(n))
+            kets = [statevec.Ket(register, operand(rng, (2,) * n, "complex"))
+                    for _ in range(count)]
+            coeffs = operand(rng, (count,), "complex").tolist()
+            written = []
+            for amplitudes in zip(*(ket.array.ravel().tolist() for ket in kets)):
+                total = 0j
+                for c, a in zip(coeffs, amplitudes):
+                    total += c * a
+                written.append(total)
+            got = statevec.superpose(zip(coeffs, kets))
+            want = statevec._prune(written).reshape((2,) * n)
+            assert got.array.tobytes() == want.tobytes()

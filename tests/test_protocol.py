@@ -38,6 +38,7 @@ from biphoton.statevec import (
     DEFAULT_TOL,
     PRUNE_THRESHOLD,
     ZERO_PROBABILITY,
+    Ket,
     ValidationError,
     basis_ket,
     complex_product,
@@ -666,6 +667,34 @@ def test_run_protocol_validation_errors():
 
 
 @pytest.mark.parametrize(
+    "amplitude",
+    [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, math.inf)],
+    ids=["nan", "inf", "-inf", "nan-imag", "inf-imag"],
+)
+def test_a_non_finite_input_is_rejected_at_the_boundary(amplitude):
+    # A hand-built Ket skips from_array's checks; the protocol's own catch it.
+    state = Ket((1, 2), np.array([[amplitude, 0], [0, 0]], dtype=complex))
+    for call in (
+        lambda: run_protocol(state, parity_family(), "parity5"),
+        lambda: oracle_report(state, parity_family()),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            call()
+        assert str(excinfo.value) == "input state has non-finite amplitudes"
+
+
+def test_a_finite_input_whose_norm_overflows_is_judged_by_its_norm():
+    # Its amplitudes are finite, so it fails the norm check, not the finite one.
+    state = Ket((1, 2), np.array([[1.7e308, 1.7e308], [0, 0]], dtype=complex))
+    for call in (
+        lambda: run_protocol(state, parity_family(), "parity5"),
+        lambda: oracle_report(state, parity_family()),
+    ):
+        with pytest.raises(ValidationError, match="^input state must be normalized"):
+            call()
+
+
+@pytest.mark.parametrize(
     "state", [[1, 0, 0, 0], np.array([1, 0, 0, 0])], ids=["list", "array"]
 )
 def test_an_input_that_is_not_a_ket_is_rejected_by_name(state):
@@ -1039,6 +1068,59 @@ def test_compare_reports_accepts_a_probability_sum_off_by_exactly_tol():
         probabilities[15, 1] = (1.0 + excess) - total  # exact: both near 1
         cell = dataclasses.replace(report, probabilities=probabilities)
         assert compare_reports(cell, oracle, tol).mismatches == mismatches
+
+
+def test_a_nan_total_never_agrees():
+    # abs(nan - want) > tol is false, so each total is kept only within tol.
+    report, oracle = _even_parity5()
+    probabilities = np.array(report.probabilities)
+    probabilities[15, 1] = math.nan  # no branch: it moves only the sum
+    for off, text in (
+        (dataclasses.replace(report, success_probability=math.nan),
+         "success probability nan vs oracle 0.25"),
+        (dataclasses.replace(report, conditional_j=(math.nan, 0.0)),
+         "conditional probability of outcome 0: report nan vs oracle 1"),
+        (dataclasses.replace(report, probabilities=probabilities),
+         "probabilities sum to nan, not 1"),
+    ):
+        assert compare_reports(off, oracle).mismatches == (text,)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("analyzer", [LINEAR_ANALYZER, IDEAL_ANALYZER])
+def test_compare_reports_checks_the_printed_inconclusive_total(mode, analyzer):
+    rng = np.random.default_rng(2901)
+    beta = input_ket(random_unit_vector(rng))
+    family = parity_family()
+    if mode == "general":
+        basis = random_orthonormal_basis(rng)
+        family = family_from_assignment(basis, random_assignment(rng, 2))
+    report = run_protocol(beta, family, mode, analyzer)
+    oracle = oracle_report(beta, family)
+    assert compare_reports(report, oracle).passed
+    branches = report.inconclusive_probability
+    for value in (0.0, 0.5, -3.0, math.nan):
+        off = dataclasses.replace(report, inconclusive_probability=value)
+        assert compare_reports(off, oracle).mismatches == (
+            f"inconclusive probability {value:.12g} vs branches {branches:.12g}",
+        )
+
+
+def test_compare_reports_accepts_an_inconclusive_total_off_by_exactly_tol():
+    # The total wanted adds column 0 of every pair not accepted, in row order.
+    report, oracle = _even_parity5()
+    rows = protocol._branch_table(report.mode, report.analyzer)[0]
+    branches = functools.reduce(operator.add, [
+        p[0] for k, p in enumerate(report.probabilities.tolist()) if k not in rows
+    ])
+    assert branches == report.inconclusive_probability == 0.7500000000000001
+    tol = 2.0**-20  # exact next to 3/4
+    off = "inconclusive probability %.12g vs branches %.12g" % (
+        branches + 2 * tol, branches
+    )
+    for excess, mismatches in ((tol, ()), (2 * tol, (off,))):
+        total = dataclasses.replace(report, inconclusive_probability=branches + excess)
+        assert compare_reports(total, oracle, tol).mismatches == mismatches
 
 
 @pytest.mark.parametrize("factor, total", [(1.5, "1.3125"), (0.0, "0.75")])
