@@ -51,9 +51,8 @@ from biphoton.protocol import (
     AnalyzerModel,
     ProtocolReport,
     _MODE_TABLE,
-    _PAIRS,
-    _branch_table,
     _classification,
+    _described,
     compare_reports,
     oracle_report,
     run_protocol,
@@ -304,10 +303,10 @@ def load_config(data) -> RunConfig:
         scale = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
         vec = vec / scale
         norm = _norm(vec)
-    if norm * norm < ZERO_PROBABILITY:
+    if not norm * norm >= ZERO_PROBABILITY:
         raise ValidationError("input_state has (near-)zero norm")
     warnings = []
-    if abs(scale * norm - 1.0) > tol:
+    if not abs(scale * norm - 1.0) <= tol:
         warnings.append(
             f"input state norm {scale * norm:.12g} differs from 1; normalizing"
         )
@@ -379,16 +378,12 @@ def _layout(mode: str, analyzer: AnalyzerModel, corrections, live, nonzero) -> t
     re = live.size + 2 * np.arange(live.size * 4).reshape(16, -1, 4)  # (k, r, kept)
     nonzero = np.frombuffer(nonzero, bool).reshape(re.shape)
     order, json_rows, csv_rows = [], [], [_CSV_HEADER]
-    for k, j in _branch_table(mode, analyzer)[2]:
+    for k, j, b15, b26, reading, fixes, kind in _described(mode, analyzer, corrections):
         at, ok = (k,) if j is None else (k, j), live[k, j or 0]
         shown = nonzero[at].reshape(-1, 4).T.ravel() & ok  # a joint state: reading last
         order.append(k * live.shape[1] + (j or 0))
         order += [i + d for i in re[at].reshape(-1, 4).T.ravel()[shown] for d in (0, 1)]
         labels = list(compress(_labels(n + 2 if j is None else 2), shown.tolist()))
-        b15, b26 = (bell.value for bell in _PAIRS[k])
-        reading = None if j is None else _labels(n)[j] or None
-        fixes = () if j is None else corrections[k]
-        kind = "inconclusive" if j is None else "correctable" if fixes else "success"
         kind = _classification(kind if ok else "zero", j)
         # At most two corrections, so the list always fits on one line.
         json_fixes = ", ".join(f'[{photon}, "{gate}"]' for photon, gate in fixes)
@@ -396,8 +391,8 @@ def _layout(mode: str, analyzer: AnalyzerModel, corrections, live, nonzero) -> t
         residual = f',\n      "residual": {cells}' if ok else ""
         json_rows.append(
             "    {\n"
-            f'      "bell15": "{b15}",\n'
-            f'      "bell26": "{b26}",\n'
+            f'      "bell15": "{b15.value}",\n'
+            f'      "bell26": "{b26.value}",\n'
             f'      "register_result": {json.dumps(reading)},\n'
             '      "probability": %s,\n'
             f'      "classification": "{kind}",\n'
@@ -407,7 +402,7 @@ def _layout(mode: str, analyzer: AnalyzerModel, corrections, live, nonzero) -> t
         csv_fixes = ";".join(f"{photon}:{gate}" for photon, gate in fixes)
         csv_cells = ";".join(f"{label}:%s:%s" for label in labels)
         csv_rows.append(
-            f"{b15},{b26},{reading or ''},%s,{kind},{csv_fixes},{csv_cells}"
+            f"{b15.value},{b26.value},{reading or ''},%s,{kind},{csv_fixes},{csv_cells}"
         )
     order = np.array(order)
     order.flags.writeable = False

@@ -62,7 +62,7 @@ class TwoPhotonBasis:
             raise ValidationError(f"basis must be 4x4, got shape {arr.shape}")
         gram = complex_product(arr[:, None], arr.conj())
         dev = np.abs(gram - np.eye(4))
-        if dev.max() > _check_tol(tol):
+        if not dev.max() <= _check_tol(tol):  # NaN, from a Gram that overflows, fails
             i, k = np.unravel_index(int(dev.argmax()), dev.shape)
             raise ValidationError(
                 "basis rows are not orthonormal: "

@@ -29,7 +29,7 @@ read-only, keyed by the family (a value; the parity modes always use
 ``parity_family()``), the register photons and the ``conjugate_partner`` found
 at call time.  So a patched partner reaches the next run, and a patched
 ``_BELL_PAIR_BRAS`` every run once that cache is cleared.  ``_branch_table``
-caches each (mode, analyzer)'s positions; ``CORRECTIONS`` is read every call.
+and ``_described`` cache positions and names; ``CORRECTIONS`` is read every call.
 """
 
 from __future__ import annotations
@@ -182,6 +182,20 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
 
 
 @functools.lru_cache(maxsize=32)
+def _described(mode: str, analyzer: AnalyzerModel, corrections) -> tuple:
+    """Each branch in report order as ``(k, j, bell15, bell26, reading, corrections,
+    kind)``, ``kind`` while live (``p >= ZERO_PROBABILITY``), else (NaN too) "zero"."""
+    readings = _labels(len(_MODE_TABLE[mode][2]))
+    described = []
+    for k, j in _branch_table(mode, analyzer)[2]:
+        fix = () if j is None else corrections[k]
+        kind = "inconclusive" if j is None else "correctable" if fix else "success"
+        reading = None if j is None else readings[j] or None
+        described.append((k, j, *_PAIRS[k], reading, fix, kind))
+    return tuple(described)
+
+
+@functools.lru_cache(maxsize=32)
 def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.ndarray:
     """The one compiler of ``T`` from ``family``'s resource on ``j_register``:
     ``T[b15, b26, r]`` contracted with ``beta`` is the unnormalized kept-pair
@@ -282,21 +296,15 @@ class ProtocolReport:
     @functools.cached_property
     def branches(self) -> tuple:
         """The table as ``Branch`` records, built off the arrays on first access."""
-        readings = _labels(len(self.j_register))
         register = KEPT_PAIR + self.j_register
         # Views of each pair's residuals as one state, the reading axis last.
         joint = (16,) + (2,) * len(register)
         joint_states = self.residuals.transpose(0, 2, 3, 1).reshape(joint)
         probabilities = self.probabilities.tolist()
-        rows = []
-        for k, j in _branch_table(self.mode, self.analyzer)[2]:
-            b15, b26 = _PAIRS[k]
-            if j is None:  # one branch, its probability in column 0
-                p, reading, fix, kind = probabilities[k][0], None, (), "inconclusive"
-            else:
-                p, fix = probabilities[k][j], self.corrections[k]
-                reading, kind = readings[j] or None, "correctable" if fix else "success"
-            if p < ZERO_PROBABILITY:
+        rows, described = [], _described(self.mode, self.analyzer, self.corrections)
+        for k, j, b15, b26, reading, fix, kind in described:
+            p = probabilities[k][j or 0]  # a pair that is one branch: column 0
+            if not p >= ZERO_PROBABILITY:
                 rows.append(Branch(b15, b26, reading, p, fix, "zero"))
                 continue
             state = joint_states[k] if j is None else self.residuals[k, j]
@@ -485,7 +493,7 @@ def compare_reports(
                   if not abs(got - want) <= tol]  # so NaN never agrees
     states = [None if s is None else s.array.ravel().tolist() for s in oracle.states]
     for index, k, j in cells:  # only accepted rows hold successes
-        if probabilities[k][j] < ZERO_PROBABILITY:
+        if not probabilities[k][j] >= ZERO_PROBABILITY:  # printed without a residual
             continue
         target = states[j] if j < len(states) else None
         if target is None:

@@ -14,11 +14,14 @@ Numeric policy, followed by every module:
 
 * amplitude zero: ``|a|**2 < PRUNE_THRESHOLD`` zeroes an amplitude, and a
   state with ``norm**2 < PRUNE_THRESHOLD`` is degenerate;
-* probability zero: an outcome below ``ZERO_PROBABILITY`` carries no state
-  (branch residual, oracle state, conditional distribution), and a config
-  input with ``norm**2`` below it is rejected; totals still add it;
-* agreement: ``abs(got - want) <= tol``, so NaN never agrees, for the caller's
-  ``tol`` (a real by ``_is_real``, in (0, 1) by ``_check_tol``) or ``DEFAULT_TOL``;
+* probability zero: ``p >= ZERO_PROBABILITY`` makes an outcome live, carrying a
+  state (branch residual, oracle state, conditional distribution), and admits a
+  config input's ``norm**2``; totals still add every outcome;
+* agreement: ``abs(got - want) <= tol`` for the caller's ``tol`` (a real by
+  ``_is_real``, in (0, 1) by ``_check_tol``) or ``DEFAULT_TOL``, likewise for
+  ``TwoPhotonBasis``'s Gram and ``load_config``'s norm.  A failing side reads
+  ``not ... <=``/``>=``, so NaN never agrees and is never live, as a lint in
+  ``tests/test_import_rules.py`` checks for every comparison with a threshold;
 * rounding: every sum of complex products follows ``complex_product``'s rule
   (``_flat_sums`` too): each real product rounded once, terms added in index
   order, no BLAS, so no bit depends on layout, batch shape or kernel;
@@ -128,13 +131,6 @@ class Ket:
         return self.register == other.register and np.array_equal(
             self.array, other.array
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = " + ".join(
-            f"({amp:.6g})|{labels}>" for labels, amp in self.items()
-        )
-        reg = ",".join(str(p) for p in self.register)
-        return f"Ket[{reg}]({terms or '0'})"
 
 
 def _prune(amplitudes) -> np.ndarray:

@@ -25,9 +25,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "biphoton"
 
-#: (file, scope) pairs whose statements no in-process test can run: a
-#: debugging aid marked ``pragma: no cover``, and the CLI's entry guard.
-ALLOWED = {("statevec.py", "Ket.__repr__"), ("cli.py", "__main__")}
+#: (file, scope) pairs whose statements no in-process test can run: the
+#: CLI's entry guard.
+ALLOWED = {("cli.py", "__main__")}
 
 
 def statement_lines(code) -> set:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton.measurement as measurement
 import biphoton.protocol as protocol
 from biphoton.cli import (
     KetSyntaxError,
@@ -22,7 +23,7 @@ from biphoton.cli import (
     parse_ket,
     read_config,
 )
-from biphoton.measurement import parity_family
+from biphoton.measurement import TwoPhotonBasis, parity_family, shared_family
 from biphoton.protocol import (
     BellOutcome,
     compare_reports,
@@ -577,6 +578,26 @@ def test_a_basis_kept_at_a_loose_tol_still_fails_a_tight_one():
     for _ in range(2):
         with pytest.raises(ValidationError, match="basis rows are not orthonormal"):
             load_config(config)
+
+
+def test_a_basis_whose_gram_overflows_is_not_orthonormal(tmp_path, capsys):
+    # Each entry is finite, but <row0|row1> = 1e400 - 1e400 is NaN, which an
+    # ordered comparison with tol would let through to a report printing nan.
+    rows = [[1e200, 1e200, 0, 0], [1e200, -1e200, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    table = [[1, 0], [0, 1], [1, 0], [0, 1]]
+    path = write_config(tmp_path, base_config(**general_family(rows, table)))
+    for command in ("verify", "run"):
+        assert main([command, "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: basis rows are not orthonormal")
+    with pytest.raises(ValidationError, match="basis rows are not orthonormal"):
+        TwoPhotonBasis(np.array(rows, dtype=complex))
+    kept = measurement._family_by_content.cache_info().currsize
+    with pytest.raises(ValidationError, match="basis rows are not orthonormal"):
+        shared_family(rows, table)
+    assert measurement._family_by_content.cache_info().currsize == kept
 
 
 def test_load_config_rejects_a_non_object():

@@ -2,6 +2,7 @@
 is built from them on first access, and the pipeline (run, oracle, compare,
 emit) never builds a ``Branch``."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -147,3 +148,32 @@ def test_rows_below_zero_probability_carry_no_state(mode, analyzer):
             zero[k] = zero[k, 0]
     assert zero.any()
     assert (report.residuals[zero] == 0).all()
+
+
+def nan_at(report, k):
+    """``report`` with a NaN probability in row ``k``'s column 0."""
+    probabilities = report.probabilities.copy()
+    probabilities[k, 0] = np.nan
+    probabilities.flags.writeable = False
+    return dataclasses.replace(report, probabilities=probabilities)
+
+
+@pytest.mark.parametrize("accepted", [True, False], ids=["accepted", "not-accepted"])
+@pytest.mark.parametrize(
+    "report", list(reports(4)), ids=lambda r: f"{r.mode}-{r.analyzer.name}"
+)
+def test_the_view_and_the_writer_agree_on_a_nan_branch(report, accepted):
+    # NaN fails every ordered comparison, so only p >= ZERO_PROBABILITY makes it
+    # "zero" in both; an accepted row holds successes, any other one branch.
+    k = [fix is not None for fix in report.corrections].index(accepted)
+    report = nan_at(report, k)
+    branches = report.branches
+    doc = json.loads(emit_report(report, "json").replace(": nan,", ": NaN,"))
+    rows = emit_report(report, "csv").splitlines()[1:]
+    assert len(doc["branches"]) == len(rows) == len(branches)
+    for branch, parsed, row in zip(branches, doc["branches"], rows):
+        assert branch.classification == parsed["classification"]
+        assert branch.classification == row.split(",")[4]
+        assert (branch.residual is None) == ("residual" not in parsed)
+    nans = [b.classification for b in branches if np.isnan(b.probability)]
+    assert nans == ["zero"]

@@ -7,9 +7,10 @@ else under ``tests``) the check would compare the code with itself.
 The same AST walk keeps each input rule in one module: ``statevec`` alone
 defines the index, real-number and tolerance checks and imports ``numbers``.
 It also allows no BLAS-backed call anywhere in the library, nor in the
-functions whose results reach report bytes or decide a verdict, and the exports
-checks keep every ``__all__`` name alive, with each package re-export the very
-object its module defines.
+functions whose results reach report bytes or decide a verdict, nor a ``<`` or
+``>`` against ``tol`` or ``ZERO_PROBABILITY``, which NaN would pass; and the
+exports checks keep every ``__all__`` name alive, with each package re-export
+the very object its module defines.
 """
 
 import ast
@@ -228,6 +229,50 @@ def test_blas_uses_are_seen():
     assert einsum_calls(ast.parse("np.einsum('k,k', x, x)\n" + source)) == [
         ("<module>", []), ("f", ["dtype"])
     ]
+
+
+#: The names a threshold goes by: a comparison that names one decides agreement
+#: or liveness, so it must keep NaN on its failing side.
+THRESHOLDS = {"tol", "ZERO_PROBABILITY"}
+
+
+def ordered_threshold_tests(tree):
+    """Each comparison in ``tree`` that uses ``<`` or ``>`` and names a threshold
+    (as a name or an attribute), where NaN would fall on the passing side of a
+    failing test; ``not x <= tol`` and ``p >= ZERO_PROBABILITY`` keep it off."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Lt, ast.Gt)) for op in node.ops
+        ):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+            if names & THRESHOLDS:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_every_threshold_test_is_written_so_nan_fails_it():
+    # Every ordered comparison with NaN is false: ``x > tol`` lets a NaN
+    # deviation pass a test that ``not x <= tol`` fails.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if uses := ordered_threshold_tests(ast.parse(path.read_text("utf-8"))):
+            found[path.name] = uses
+    assert found == {}
+
+
+def test_ordered_threshold_tests_are_seen():
+    # The check above would pass vacuously if it could not see comparisons.
+    for source in (
+        "x > tol", "p < ZERO_PROBABILITY", "dev.max() > _check_tol(tol)",
+        "abs(n - 1) > cfg.tol", "if not 0 < p < ZERO_PROBABILITY: pass",
+    ):
+        assert len(ordered_threshold_tests(ast.parse(source))) == 1, source
+    for source in (
+        "not a <= tol", "p >= ZERO_PROBABILITY", "not abs(x) <= _check_tol(tol)",
+        "x < y", "0.0 < value < 1.0", "tol == 0", "_check_tol(x) > 1",
+    ):
+        assert ordered_threshold_tests(ast.parse(source)) == [], source
 
 
 SUBMODULES = [
