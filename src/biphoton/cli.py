@@ -67,6 +67,7 @@ from biphoton.statevec import (
     _is_real,
     _ket,
     _labels,
+    _scaled,
 )
 
 __all__ = [
@@ -300,8 +301,8 @@ def load_config(data) -> RunConfig:
         raise ValidationError("input_state has non-finite components")
     norm, scale = _norm(vec), 1.0
     if math.isinf(norm):  # squares that overflow: Python floats give inf, no warning
-        scale = float(max(np.abs(vec.real).max(), np.abs(vec.imag).max()))
-        vec = vec / scale
+        scaled, e = _scaled(vec.tolist())  # by 2**-e, which is exact
+        vec, scale = np.array(scaled), math.ldexp(1.0, e)
         norm = _norm(vec)
     if not norm * norm >= ZERO_PROBABILITY:
         raise ValidationError("input_state has (near-)zero norm")
@@ -378,7 +379,8 @@ def _layout(mode: str, analyzer: AnalyzerModel, corrections, live, nonzero) -> t
     re = live.size + 2 * np.arange(live.size * 4).reshape(16, -1, 4)  # (k, r, kept)
     nonzero = np.frombuffer(nonzero, bool).reshape(re.shape)
     order, json_rows, csv_rows = [], [], [_CSV_HEADER]
-    for k, j, b15, b26, reading, fixes, kind in _described(mode, analyzer, corrections):
+    described = _described(mode, analyzer, corrections)[0]
+    for k, j, b15, b26, reading, fixes, kind in described:
         at, ok = (k,) if j is None else (k, j), live[k, j or 0]
         shown = nonzero[at].reshape(-1, 4).T.ravel() & ok  # a joint state: reading last
         order.append(k * live.shape[1] + (j or 0))
@@ -474,12 +476,9 @@ def _stderr(kind: str, *messages, code: int = 0) -> int:
 
 def _execute(cfg: RunConfig):
     _stderr("warning", *cfg.warnings)
-    report = run_protocol(
-        cfg.input_state, cfg.family, cfg.mode, cfg.analyzer, cfg.tol
-    )
+    report = run_protocol(cfg.input_state, cfg.family, cfg.mode, cfg.analyzer, cfg.tol)
     oracle = oracle_report(cfg.input_state, cfg.family, cfg.tol)
-    verdict = compare_reports(report, oracle, cfg.tol)
-    return report, verdict
+    return report, compare_reports(report, oracle, cfg.tol)
 
 
 def _cmd_run(args) -> int:

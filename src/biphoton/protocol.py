@@ -29,7 +29,7 @@ read-only, keyed by the family (a value; the parity modes always use
 ``parity_family()``), the register photons and the ``conjugate_partner`` found
 at call time.  So a patched partner reaches the next run, and a patched
 ``_BELL_PAIR_BRAS`` every run once that cache is cleared.  ``_branch_table``
-and ``_described`` cache positions and names; ``CORRECTIONS`` is read every call.
+caches positions; ``_described`` names and signs, by ``CORRECTIONS`` as read each call.
 """
 
 from __future__ import annotations
@@ -107,13 +107,8 @@ _BELL_COMPONENTS = {
 
 def bell_ket(kind: BellOutcome, pair) -> Ket:
     """The Bell state ``kind`` on two distinct photons."""
-    amp = 2.0 ** -0.5
-    return superpose(
-        [
-            (sign * amp, basis_ket(pair, labels))
-            for labels, sign in _BELL_COMPONENTS[kind]
-        ]
-    )
+    amp, terms = 2.0**-0.5, _BELL_COMPONENTS[kind]
+    return superpose([(sign * amp, basis_ket(pair, labels)) for labels, sign in terms])
 
 
 #: ``<b15| (x) <b26|`` on the partner photons (5, 6), shape (64, 4): rows are
@@ -181,18 +176,28 @@ def _branch_table(mode: str, analyzer: AnalyzerModel) -> tuple:
     return rows, mask, branches, cells
 
 
+#: Z = diag(1, -1), so a (photon, "Z") correction is a +-1 mask on that
+#: photon's axis of the kept pair (3, 4).
+_SIGN_MASKS = {(3, "Z"): np.array([[1.0], [-1.0]]), (4, "Z"): np.array([[1.0, -1.0]])}
+
+
 @functools.lru_cache(maxsize=32)
 def _described(mode: str, analyzer: AnalyzerModel, corrections) -> tuple:
     """Each branch in report order as ``(k, j, bell15, bell26, reading, corrections,
-    kind)``, ``kind`` while live (``p >= ZERO_PROBABILITY``), else (NaN too) "zero"."""
+    kind)``, ``kind`` while live (``p >= ZERO_PROBABILITY``), else (NaN too) "zero";
+    and the read-only (16, 1, 4) signs ``corrections`` put on each pair's kept pair."""
     readings = _labels(len(_MODE_TABLE[mode][2]))
-    described = []
+    described, signs = [], np.ones((16, 1, 4))
     for k, j in _branch_table(mode, analyzer)[2]:
         fix = () if j is None else corrections[k]
         kind = "inconclusive" if j is None else "correctable" if fix else "success"
         reading = None if j is None else readings[j] or None
         described.append((k, j, *_PAIRS[k], reading, fix, kind))
-    return tuple(described)
+    for k, fix in enumerate(corrections):
+        for correction in fix or ():  # on the kept pair's two axes
+            signs.reshape(16, 2, 2)[k] *= _SIGN_MASKS[correction]
+    signs.flags.writeable = False
+    return tuple(described), signs
 
 
 @functools.lru_cache(maxsize=32)
@@ -211,9 +216,6 @@ def _built_transfer(family: ProjectorFamily, j_register: tuple, partner) -> np.n
     return t.reshape(4, 4, 4, r, 4).transpose(1, 2, 3, 4, 0)  # the input axis last
 
 
-#: Z = diag(1, -1), so a (photon, "Z") correction is a +-1 mask on that
-#: photon's axis of the kept pair (3, 4).
-_SIGN_MASKS = {(3, "Z"): np.array([[1.0], [-1.0]]), (4, "Z"): np.array([[1.0, -1.0]])}
 _FIRST = np.arange(4) == 0  # the reading that holds an unaccepted pair's total
 
 #: Local corrections mapping each accepted Bell pair onto the
@@ -301,7 +303,7 @@ class ProtocolReport:
         joint = (16,) + (2,) * len(register)
         joint_states = self.residuals.transpose(0, 2, 3, 1).reshape(joint)
         probabilities = self.probabilities.tolist()
-        rows, described = [], _described(self.mode, self.analyzer, self.corrections)
+        rows, described = [], _described(self.mode, self.analyzer, self.corrections)[0]
         for k, j, b15, b26, reading, fix, kind in described:
             p = probabilities[k][j or 0]  # a pair that is one branch: column 0
             if not p >= ZERO_PROBABILITY:
@@ -391,18 +393,17 @@ def run_protocol(
     residuals = complex_product(t, to_array(input_state)).reshape(16, -1, 4)
     weights = complex_product(residuals, residuals.conj()).real
     rows, accepted, branches, _ = _branch_table(mode, analyzer)
-    fixes, signs = [None] * 16, np.ones((16, 1, 2, 2))
+    fixes = [None] * 16
     for k in rows:  # CORRECTIONS is read on every call
         fixes[k] = tuple(corrections_for(_PAIRS[k]))
-        for correction in fixes[k]:
-            signs[k] *= _SIGN_MASKS[correction]
+    signs = _described(mode, analyzer, fixes := tuple(fixes))[1]
     # An accepted pair splits into one unit residual per reading; any other
     # pair is one joint state over kept and register photons, scaled by its total.
     totals = weights.sum(axis=1, keepdims=True)
     # A row below ZERO_PROBABILITY carries no state, so its residual is zero.
     branch_weights = np.where(accepted, weights, totals)[..., None]
     live = branch_weights >= ZERO_PROBABILITY
-    signed, scale = residuals * signs.reshape(16, 1, 4), np.sqrt(branch_weights)
+    signed, scale = residuals * signs, np.sqrt(branch_weights)
     units = np.divide(signed, scale, out=np.zeros_like(signed), where=live)
     probabilities = np.where(accepted, weights, totals * _FIRST[: weights.shape[1]])
     probabilities.flags.writeable = False
@@ -427,7 +428,7 @@ def run_protocol(
         input_state=input_state,
         family=family,
         j_register=j_register,
-        corrections=tuple(fixes),
+        corrections=fixes,
         probabilities=probabilities,
         residuals=_prune(units).reshape(16, -1, 2, 2),
         success_probability=success_probability,

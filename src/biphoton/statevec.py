@@ -22,9 +22,10 @@ Numeric policy, followed by every module:
   ``TwoPhotonBasis``'s Gram and ``load_config``'s norm.  A failing side reads
   ``not ... <=``/``>=``, so NaN never agrees and is never live, as a lint in
   ``tests/test_import_rules.py`` checks for every comparison with a threshold;
-* rounding: every sum of complex products follows ``complex_product``'s rule
-  (``_flat_sums`` too): each real product rounded once, terms added in index
-  order, no BLAS, so no bit depends on layout, batch shape or kernel;
+* rounding: every sum of complex products follows ``complex_product``'s rule,
+  ``_flat_sums`` (for ``inner``, ``norm``, ``phase_equal``) too: each real product
+  rounded once, terms added in index order, no BLAS, so no bit depends on layout,
+  batch shape or kernel; squares that overflow are scaled by a power of two first;
 * entry: ``_numbers`` checks caller amplitudes, ``_ket`` wraps derived ones.
 """
 
@@ -267,11 +268,12 @@ def _flat_sums(xs: list, ys: list) -> tuple[complex, float, float]:
     return overlap, aa, bb
 
 
-def _scaled(values: list) -> list:
-    """``values`` scaled down by the power of two that brings their largest part
-    below 1; never up, so a degenerate state stays degenerate."""
+def _scaled(values: list) -> tuple[list, int]:
+    """``values`` times ``2**-e``, and the least ``e >= 0`` that puts their largest
+    part below 2: ``2**e`` is a float, and a degenerate state is never scaled up."""
     top = max(max(abs(x.real), abs(x.imag)) for x in values)
-    return [x * math.ldexp(1.0, -max(0, math.frexp(top)[1])) for x in values]
+    e = max(0, math.frexp(top)[1] - 1)
+    return [x * math.ldexp(1.0, -e) for x in values], e
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -282,9 +284,7 @@ def inner(a: Ket, b: Ket) -> complex:
 def norm(state: Ket) -> float:
     """Euclidean norm ``sqrt(sum |amplitude|^2)``, summed in index order."""
     values = state.array.reshape(-1).tolist()
-    total = 0.0
-    for x in values:
-        total += x.real * x.real + x.imag * x.imag
+    total = _flat_sums(values, values)[1]
     if total == math.inf:  # only then: math.hypot scales by a power of two first
         return math.hypot(*[part for x in values for part in (x.real, x.imag)])
     return math.sqrt(total)
@@ -306,7 +306,7 @@ def _phase_match(xs: list, ys: list, tol: float) -> bool:
     """``phase_equal``'s rule on the flat amplitude lists of two states."""
     overlap, aa, bb = _flat_sums(xs, ys)
     if math.inf in (aa, bb):  # only then, so no other input moves a bit
-        xs, ys = _scaled(xs), _scaled(ys)
+        xs, ys = _scaled(xs)[0], _scaled(ys)[0]
         overlap, aa, bb = _flat_sums(xs, ys)
     phase = overlap / abs(overlap) if overlap else 1.0
     rotation = phase / _nonzero(math.sqrt(aa), "compare")

@@ -40,14 +40,15 @@ PACKAGE = Path("src") / "biphoton"
 #: The functions mutated, by module: the orthonormality, number, tolerance
 #: and index rules, the config reader and the entry reader built on them, the
 #: ket grammar, the check that a parity mode's family lies within ``tol`` of
-#: the parity projectors, the conjugate partner, the resource amplitudes built
-#: from it and their ``AuxState``, the one compiler of ``T`` from those, the
-#: verdict and the phase rule it checks each success cell by.
+#: the parity projectors, the branch names and correction signs, the conjugate
+#: partner, the resource amplitudes built from it and their ``AuxState``, the
+#: one compiler of ``T`` from those, the verdict and the phase rule it checks
+#: each success cell by.
 TARGETS = {
     "measurement.py": ("TwoPhotonBasis.__post_init__",),
     "statevec.py": ("_check_int", "_is_real", "_check_tol", "_phase_match"),
     "cli.py": ("_complex_entry", "parse_ket", "read_config", "load_config"),
-    "protocol.py": ("_is_parity", "_built_transfer", "compare_reports"),
+    "protocol.py": ("_is_parity", "_described", "_built_transfer", "compare_reports"),
     "auxprep.py": ("conjugate_partner", "_resource_amplitudes", "_resource"),
 }
 MAX_MUTANTS = 150

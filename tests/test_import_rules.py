@@ -160,7 +160,7 @@ BYTE_PATH = {
                "_input_components", "_family_from_value", "emit_report",
                "_report_texts", "_layout", "_number", "_family_json", "_listing",
                "_object"),
-    "protocol.py": ("run_protocol", "_built_transfer", "_branch_table"),
+    "protocol.py": ("run_protocol", "_built_transfer", "_branch_table", "_described"),
     "auxprep.py": ("_resource", "_resource_amplitudes", "conjugate_partner"),
     "statevec.py": ("complex_product", "_prune", "_ket", "from_array"),
 }
